@@ -30,9 +30,10 @@ bench-go:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/pcu/
 
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
-# benchmark code without paying for a measurement.
+# benchmark code without paying for a measurement. Covers the root
+# paper-experiment benchmarks, the mesh core and pcu (~6 s).
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/pcu/...
+	$(GO) test -run '^$$' -bench=. -benchtime=1x . ./internal/mesh/ ./internal/pcu/...
 
 race:
 	$(GO) test -race ./internal/...

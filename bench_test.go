@@ -275,18 +275,21 @@ func BenchmarkLocalSplit(b *testing.B) {
 // --- Ablations (DESIGN.md §4) ---
 
 // BenchmarkAdjacency_MDS measures upward adjacency through the
-// use-list storage.
+// use-list storage, filling a reused caller buffer.
 func BenchmarkAdjacency_MDS(b *testing.B) {
 	m := meshgen.Box3D(gmi.Box(1, 1, 1), 10, 10, 10)
 	var verts []mesh.Ent
 	for v := range m.Iter(0) {
 		verts = append(verts, v)
 	}
+	var adj []mesh.Ent
+	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
 		v := verts[i%len(verts)]
-		n += len(m.Adjacent(v, 3))
+		adj = m.AdjacentTo(v, 3, adj[:0])
+		n += len(adj)
 	}
 	if n == 0 {
 		b.Fatal("no adjacencies")
@@ -422,6 +425,7 @@ func BenchmarkFieldEval(b *testing.B) {
 	for el := range m.Elements() {
 		els = append(els, el)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	s := 0.0
 	for i := 0; i < b.N; i++ {

@@ -94,9 +94,10 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 	var faces []mesh.Ent
 	if d == 3 {
 		faces = m.Adjacent(edge, 2)
+		var fv [4]mesh.Ent
 		for _, f := range faces {
 			opp := mesh.NilEnt
-			for _, v := range m.Adjacent(f, 0) {
+			for _, v := range m.AdjacentTo(f, 0, fv[:0]) {
 				if v != a && v != b {
 					opp = v
 				}

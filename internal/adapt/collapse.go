@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -32,6 +33,7 @@ func CanCollapse(m *mesh.Mesh, edge, removed, kept mesh.Ent) bool {
 		return false
 	}
 	d := m.Dim()
+	var vbuf, nbuf [8]mesh.Ent
 	for _, el := range m.Adjacent(removed, d) {
 		if m.IsGhost(el) {
 			return false
@@ -39,8 +41,8 @@ func CanCollapse(m *mesh.Mesh, edge, removed, kept mesh.Ent) bool {
 		if hasVert(m, el, kept) {
 			continue // dies with the edge
 		}
-		verts := m.Verts(el)
-		nv := make([]mesh.Ent, len(verts))
+		verts := m.VertsTo(el, vbuf[:0])
+		nv := nbuf[:len(verts)]
 		for i, v := range verts {
 			if v == removed {
 				nv[i] = kept
@@ -79,12 +81,8 @@ func signedMeasure(m *mesh.Mesh, verts []mesh.Ent) float64 {
 }
 
 func hasVert(m *mesh.Mesh, el, v mesh.Ent) bool {
-	for _, x := range m.Adjacent(el, 0) {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	var buf [8]mesh.Ent
+	return slices.Contains(m.AdjacentTo(el, 0, buf[:0]), v)
 }
 
 // simplexValid checks shape validity of a would-be element given its
@@ -148,16 +146,19 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 		}
 		return nv
 	}
+	var sides, verts []mesh.Ent
 	for _, el := range rebuilt {
 		if hasVert(m, el, kept) {
 			continue
 		}
 		for dd := 1; dd < d; dd++ {
-			for _, de := range m.Adjacent(el, dd) {
+			sides = m.AdjacentTo(el, dd, sides[:0])
+			for _, de := range sides {
 				if !hasVert(m, de, removed) {
 					continue
 				}
-				nv := replace(m.Adjacent(de, 0))
+				verts = m.AdjacentTo(de, 0, verts[:0])
+				nv := replace(verts)
 				if m.FindFromVerts(de.T, nv).Ok() {
 					// The replacement already exists (a side of a
 					// dying element) and keeps its own classification.
@@ -172,7 +173,8 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 		if hasVert(m, el, kept) {
 			continue
 		}
-		m.BuildFromVerts(el.T, replace(m.Verts(el)), m.Classification(el))
+		verts = m.VertsTo(el, verts[:0])
+		m.BuildFromVerts(el.T, replace(verts), m.Classification(el))
 	}
 	for _, r := range recs {
 		child := m.FindFromVerts(r.t, r.nv)
@@ -197,7 +199,7 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 	var lower []mesh.Ent
 	for _, el := range els {
 		for dd := d - 1; dd >= 0; dd-- {
-			lower = append(lower, m.Adjacent(el, dd)...)
+			lower = m.AdjacentTo(el, dd, lower)
 		}
 		m.Destroy(el)
 	}

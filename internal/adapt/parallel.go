@@ -110,6 +110,7 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 		m := part.M
 		self := m.Part()
 		plans[i] = partition.Plan{}
+		var els []mesh.Ent
 		for _, e := range MarkLongEdges(m, size) {
 			if !m.IsShared(e) {
 				continue
@@ -118,7 +119,8 @@ func localizeMarked(dm *partition.DMesh, size SizeField, useMax bool) int64 {
 			if d == self {
 				continue // cavity gathers here
 			}
-			for _, el := range m.Adjacent(e, dm.Dim) {
+			els = m.AdjacentTo(e, dm.Dim, els[:0])
+			for _, el := range els {
 				if cur, ok := plans[i][el]; !ok || better(d, cur) {
 					plans[i][el] = d
 				}

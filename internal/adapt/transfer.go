@@ -84,6 +84,7 @@ func (qt *QuadraticFieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
 	vs := m.Down(edge)
 	a, b := vs[0], vs[1]
 	d := m.Dim()
+	var els, verts []mesh.Ent
 	for _, name := range qt.Names {
 		f := field.Find(m, name, field.Quadratic)
 		if f == nil {
@@ -108,8 +109,10 @@ func (qt *QuadraticFieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
 		qt.stash(mid, b, name, q3)
 		// Interior child edges (mid, c): evaluate the parent element's
 		// quadratic field at the new edge's midpoint.
-		for _, el := range m.Adjacent(edge, d) {
-			for _, c := range m.Adjacent(el, 0) {
+		els = m.AdjacentTo(edge, d, els[:0])
+		for _, el := range els {
+			verts = m.AdjacentTo(el, 0, verts[:0])
+			for _, c := range verts {
 				if c == a || c == b {
 					continue
 				}

@@ -2,7 +2,7 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
 )
@@ -17,9 +17,7 @@ func (m *Mesh) Down(e Ent) []Ent {
 // DownTo appends e's one-level downward adjacencies to buf and returns
 // it.
 func (m *Mesh) DownTo(e Ent, buf []Ent) []Ent {
-	td := &m.td[e.T]
-	base := int(e.I) * td.degree
-	return append(buf, td.down[base:base+td.degree]...)
+	return append(buf, m.down(e)...)
 }
 
 // Up returns the one-level upward adjacent entities of e (most recently
@@ -50,29 +48,19 @@ func (m *Mesh) UpTo(e Ent, buf []Ent) []Ent {
 }
 
 // UpCount returns the number of distinct one-level upward adjacencies.
+// It walks the use-list, counting a use only when no earlier use names
+// the same entity, so it never allocates.
 func (m *Mesh) UpCount(e Ent) int {
 	n := 0
-	var seen [2]Ent // entities rarely repeat more than twice
-	nSeen := 0
-	for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-		dup := false
-		for i := 0; i < nSeen; i++ {
-			if seen[i] == u.e {
-				dup = true
-				break
-			}
+	first := m.td[e.T].firstUse[e.I]
+	for u := first; u.e.Ok(); u = m.useNext(u) {
+		p := first
+		for p != u && p.e != u.e {
+			p = m.useNext(p)
 		}
-		if dup {
-			continue
-		}
-		if nSeen < len(seen) {
-			seen[nSeen] = u.e
-			nSeen++
+		if p == u {
 			n++
-			continue
 		}
-		// Fall back to the allocating path for pathological valence.
-		return len(m.Up(e))
 	}
 	return n
 }
@@ -80,59 +68,80 @@ func (m *Mesh) UpCount(e Ent) int {
 // HasUp reports whether e bounds any higher-dimension entity.
 func (m *Mesh) HasUp(e Ent) bool { return m.td[e.T].firstUse[e.I].e.Ok() }
 
+// down returns a read-only view of e's stored downward adjacencies.
+func (m *Mesh) down(e Ent) []Ent {
+	td := &m.td[e.T]
+	base := int(e.I) * td.degree
+	return td.down[base : base+td.degree]
+}
+
 // Adjacent returns the entities of dimension dim adjacent to e,
 // traversing one level at a time through the complete representation.
 // Same-dimension queries return nil (use BridgeAdjacent for
 // second-order adjacency). Results are deduplicated and sorted for
-// determinism.
+// determinism. The result is freshly allocated; use AdjacentTo to
+// reuse a buffer in hot loops.
 func (m *Mesh) Adjacent(e Ent, dim int) []Ent {
-	ed := e.Dim()
-	if dim == ed {
+	var tmp [64]Ent // holds two levels of a typical vertex's star
+	adj := m.AdjacentTo(e, dim, tmp[:0])
+	if len(adj) == 0 {
 		return nil
 	}
-	cur := []Ent{e}
-	for d := ed; d < dim; d++ {
-		cur = m.stepUp(cur)
-	}
-	for d := ed; d > dim; d-- {
-		cur = m.stepDown(cur)
-	}
-	sort.Slice(cur, func(i, j int) bool { return cur[i].Less(cur[j]) })
-	return cur
+	return slices.Clone(adj)
 }
 
-// appendUnique adds e to out unless present. Local adjacency sets are
-// small (bounded by valence), so a linear scan beats hashing; switch to
-// a map only for pathological sizes.
-func appendUnique(out []Ent, e Ent) []Ent {
-	for _, x := range out {
-		if x == e {
-			return out
-		}
+// AdjacentTo appends the entities Adjacent(e, dim) returns, in the same
+// order, to buf and returns it. It walks the stored downward arrays and
+// use-lists one level at a time, keeping each deduplicated level in
+// buf, so it allocates only when buf must grow.
+func (m *Mesh) AdjacentTo(e Ent, dim int, buf []Ent) []Ent {
+	ed := e.Dim()
+	if dim == ed {
+		return buf
 	}
-	return append(out, e)
+	step := 1
+	if dim < ed {
+		step = -1
+	}
+	start := len(buf)
+	buf = append(buf, e)
+	for d := ed; d != dim; d += step {
+		next := len(buf)
+		for _, x := range buf[start:next] {
+			if step > 0 {
+				for u := m.td[x.T].firstUse[x.I]; u.e.Ok(); u = m.useNext(u) {
+					buf = appendUnique(buf, next, u.e)
+				}
+			} else {
+				for _, y := range m.down(x) {
+					buf = appendUnique(buf, next, y)
+				}
+			}
+		}
+		buf = buf[:start+copy(buf[start:], buf[next:])]
+	}
+	slices.SortFunc(buf[start:], cmpEnt)
+	return buf
 }
 
-func (m *Mesh) stepUp(ents []Ent) []Ent {
-	var out []Ent
-	for _, e := range ents {
-		for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
-			out = appendUnique(out, u.e)
-		}
+func cmpEnt(a, b Ent) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
 	}
-	return out
+	return 0
 }
 
-func (m *Mesh) stepDown(ents []Ent) []Ent {
-	var out []Ent
-	for _, e := range ents {
-		td := &m.td[e.T]
-		base := int(e.I) * td.degree
-		for _, d := range td.down[base : base+td.degree] {
-			out = appendUnique(out, d)
-		}
+// appendUnique adds e to buf unless buf[start:] holds it. Local
+// adjacency sets are small (bounded by valence), so a linear scan beats
+// hashing.
+func appendUnique(buf []Ent, start int, e Ent) []Ent {
+	if slices.Contains(buf[start:], e) {
+		return buf
 	}
-	return out
+	return append(buf, e)
 }
 
 // BridgeAdjacent returns the second-order adjacency of e: entities of
@@ -140,18 +149,17 @@ func (m *Mesh) stepDown(ents []Ent) []Ent {
 // bridgeDim (e.g. the elements sharing a face with an element). e
 // itself is excluded; results are sorted.
 func (m *Mesh) BridgeAdjacent(e Ent, bridgeDim, targetDim int) []Ent {
-	seen := map[Ent]bool{e: true}
+	var bridges, targets [64]Ent
 	var out []Ent
-	for _, b := range m.Adjacent(e, bridgeDim) {
-		for _, t := range m.Adjacent(b, targetDim) {
-			if !seen[t] {
-				seen[t] = true
+	for _, b := range m.AdjacentTo(e, bridgeDim, bridges[:0]) {
+		for _, t := range m.AdjacentTo(b, targetDim, targets[:0]) {
+			if t != e {
 				out = append(out, t)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(out, cmpEnt)
+	return slices.Compact(out)
 }
 
 // Verts returns e's vertices in an order consistent with the canonical
@@ -159,108 +167,104 @@ func (m *Mesh) BridgeAdjacent(e Ent, bridgeDim, targetDim int) []Ent {
 // an order with the base face first. Regions may be returned in a
 // rotation/reflection of their creation order; all derived quantities
 // (volumes, shape functions) treat that as an equivalent labeling.
+// Only the result is allocated; VertsTo fills a caller buffer.
 func (m *Mesh) Verts(e Ent) []Ent {
+	return m.VertsTo(e, make([]Ent, 0, e.T.VertCount()))
+}
+
+// VertsTo appends Verts(e) to buf and returns it; it allocates only
+// when buf must grow.
+func (m *Mesh) VertsTo(e Ent, buf []Ent) []Ent {
 	switch e.Dim() {
 	case 0:
-		return []Ent{e}
+		return append(buf, e)
 	case 1:
-		return m.Down(e)
+		return append(buf, m.down(e)...)
 	case 2:
-		return m.faceVerts(e)
+		vs, n := m.faceVerts(e)
+		return append(buf, vs[:n]...)
 	default:
-		return m.regionVerts(e)
+		vs, n := m.regionVerts(e)
+		return append(buf, vs[:n]...)
 	}
 }
 
-// faceVerts recovers a face's vertex cycle from its edges: vertex i is
-// the vertex shared by edges i-1 and i.
-func (m *Mesh) faceVerts(f Ent) []Ent {
-	edges := m.Down(f)
-	n := len(edges)
-	out := make([]Ent, n)
+// faceVerts recovers a face's n-vertex cycle from its edges: vertex i
+// is the vertex shared by edges i-1 and i.
+func (m *Mesh) faceVerts(f Ent) (out [4]Ent, n int) {
+	edges := m.down(f)
+	n = len(edges)
 	for i := 0; i < n; i++ {
-		prev := edges[(i+n-1)%n]
-		out[i] = m.sharedVert(prev, edges[i])
+		out[i] = m.sharedVert(edges[(i+n-1)%n], edges[i])
 	}
-	return out
+	return out, n
 }
 
 func (m *Mesh) sharedVert(e1, e2 Ent) Ent {
-	a := m.Down(e1)
-	b := m.Down(e2)
-	for _, v1 := range a {
-		for _, v2 := range b {
-			if v1 == v2 {
-				return v1
-			}
+	b := m.down(e2)
+	for _, v := range m.down(e1) {
+		if v == b[0] || v == b[1] {
+			return v
 		}
 	}
 	panic(fmt.Sprintf("mesh: edges %v and %v share no vertex", e1, e2))
 }
 
-// regionVerts recovers a region's vertices: the base face's cycle plus
-// the remaining vertices matched through mesh edges.
-func (m *Mesh) regionVerts(r Ent) []Ent {
-	faces := m.Down(r)
-	base := m.faceVerts(faces[0])
-	inBase := map[Ent]bool{}
-	for _, v := range base {
-		inBase[v] = true
-	}
+// regionVerts recovers a region's n vertices: the base face's cycle
+// plus the remaining vertices matched through mesh edges.
+func (m *Mesh) regionVerts(r Ent) (out [8]Ent, n int) {
+	faces := m.down(r)
+	base, nb := m.faceVerts(faces[0])
+	top, nt := m.faceVerts(faces[1])
+	n = copy(out[:], base[:nb])
 	switch r.T {
 	case Tet, Pyramid:
 		// One apex vertex: any vertex of the second face not in the base.
-		for _, v := range m.faceVerts(faces[1]) {
-			if !inBase[v] {
-				return append(base, v)
+		for _, v := range top[:nt] {
+			if !slices.Contains(base[:nb], v) {
+				out[n] = v
+				return out, n + 1
 			}
 		}
 		panic(fmt.Sprintf("mesh: %v has no apex vertex", r))
 	case Hex, Prism:
 		// Top face vertices matched to base vertices through vertical
 		// mesh edges of this region.
-		top := m.faceVerts(faces[1])
-		inTop := map[Ent]bool{}
-		for _, v := range top {
-			inTop[v] = true
-		}
-		out := append([]Ent{}, base...)
-		for _, v := range base {
-			partner := NilEnt
-			for _, edge := range m.Adjacent(v, 1) {
-				o := m.otherVert(edge, v)
-				if inTop[o] && m.edgeInRegion(edge, r) {
-					partner = o
-					break
-				}
-			}
+		for _, v := range base[:nb] {
+			partner := m.verticalPartner(r, v, top[:nt])
 			if !partner.Ok() {
 				panic(fmt.Sprintf("mesh: no vertical partner for %v in %v", v, r))
 			}
-			out = append(out, partner)
+			out[n] = partner
+			n++
 		}
-		return out
+		return out, n
 	}
 	panic(fmt.Sprintf("mesh: Verts unsupported for %v", r.T))
 }
 
-func (m *Mesh) otherVert(edge, v Ent) Ent {
-	d := m.Down(edge)
-	if d[0] == v {
-		return d[1]
-	}
-	return d[0]
-}
-
-func (m *Mesh) edgeInRegion(edge, r Ent) bool {
-	for _, f := range m.Adjacent(edge, 2) {
-		for u := m.td[f.T].firstUse[f.I]; u.e.Ok(); u = m.useNext(u) {
-			if u.e == r {
-				return true
+// verticalPartner returns the top vertex joined to base vertex v by an
+// edge of region r, or NilEnt. If several edges qualify, the one with
+// the lowest handle wins.
+func (m *Mesh) verticalPartner(r, v Ent, top []Ent) Ent {
+	bestEdge, partner := NilEnt, NilEnt
+	for _, f := range m.down(r) {
+		for _, edge := range m.down(f) {
+			ev := m.down(edge)
+			o := ev[0]
+			switch v {
+			case ev[0]:
+				o = ev[1]
+			case ev[1]:
+			default:
+				continue
+			}
+			if slices.Contains(top, o) && (!bestEdge.Ok() || edge.Less(bestEdge)) {
+				bestEdge, partner = edge, o
 			}
 		}
 	}
-	return false
+	return partner
 }
 
 // FindByDown returns the live entity of type t whose downward set
@@ -279,17 +283,16 @@ func (m *Mesh) FindByDown(t Type, down []Ent) Ent {
 }
 
 func (m *Mesh) downSetEquals(e Ent, down []Ent) bool {
-	td := &m.td[e.T]
-	base := int(e.I) * td.degree
-	if td.degree != len(down) {
+	have := m.down(e)
+	if len(have) != len(down) {
 		return false
 	}
 	// Multiset equality: each stored entity may be matched once.
 	var used [8]bool
 	for _, want := range down {
 		found := false
-		for k, have := range td.down[base : base+td.degree] {
-			if !used[k] && have == want {
+		for k, h := range have {
+			if !used[k] && h == want {
 				used[k] = true
 				found = true
 				break
@@ -303,42 +306,105 @@ func (m *Mesh) downSetEquals(e Ent, down []Ent) bool {
 }
 
 // FindFromVerts returns the live entity of type t whose vertex set
-// equals verts, or NilEnt.
+// equals verts, or NilEnt. If several entities match (verts repeating
+// a vertex), the lowest handle wins.
+//
+// Candidates are found by downward identity, walking up from an entity
+// every match must bound: for a simplex the edge joining verts[0] to
+// another listed vertex (every vertex pair of a simplex is an edge),
+// for other types verts[0] itself. The query never allocates.
 func (m *Mesh) FindFromVerts(t Type, verts []Ent) Ent {
-	if t == Vertex {
+	switch t {
+	case Vertex:
 		return verts[0]
-	}
-	if t == Edge {
+	case Edge:
 		return m.FindByDown(Edge, verts)
 	}
-	// Walk candidates adjacent to the first vertex.
-	for _, cand := range m.Adjacent(verts[0], t.Dim()) {
-		if cand.T != t {
-			continue
-		}
-		if m.vertSetEquals(cand, verts) {
-			return cand
+	q := vertQuery{t: t, verts: verts, distinct: len(verts) <= 32}
+	for i, v := range verts {
+		if slices.Contains(verts[:i], v) {
+			q.distinct = false
 		}
 	}
-	return NilEnt
+	v0 := verts[0]
+	if t == Tri || t == Tet {
+		for _, v1 := range verts[1:] {
+			if v1 == v0 {
+				continue
+			}
+			edge := m.FindByDown(Edge, []Ent{v0, v1})
+			if !edge.Ok() {
+				return NilEnt
+			}
+			return m.findUpward(edge, &q)
+		}
+	}
+	return m.findUpward(v0, &q)
 }
 
-func (m *Mesh) vertSetEquals(e Ent, verts []Ent) bool {
-	have := m.Adjacent(e, 0)
-	if len(have) != len(verts) {
+// vertQuery is one FindFromVerts search: the wanted type and vertices,
+// and whether the vertices are distinct (and few enough for a bitmask).
+type vertQuery struct {
+	t        Type
+	verts    []Ent
+	distinct bool
+}
+
+// findUpward returns the lowest-handle entity of type q.t above e whose
+// vertex set equals q.verts, or NilEnt.
+func (m *Mesh) findUpward(e Ent, q *vertQuery) Ent {
+	best := NilEnt
+	for u := m.td[e.T].firstUse[e.I]; u.e.Ok(); u = m.useNext(u) {
+		c := u.e
+		if c.Dim() < q.t.Dim() {
+			c = m.findUpward(c, q)
+		} else if c.T != q.t || (best.Ok() && c.I > best.I) || !m.vertSetEquals(c, q) {
+			continue
+		}
+		if c.Ok() && (!best.Ok() || c.I < best.I) {
+			best = c
+		}
+	}
+	return best
+}
+
+// vertSetEquals reports whether e's distinct closure vertices are
+// exactly len(q.verts) many and include every entry of q.verts. For
+// distinct q.verts that means the closure is exactly q.verts, so the
+// walk stops at the first closure vertex outside it.
+func (m *Mesh) vertSetEquals(e Ent, q *vertQuery) bool {
+	if q.distinct {
+		var mask uint32
+		return m.vertMask(e, q.verts, &mask) && mask == 1<<len(q.verts)-1
+	}
+	var buf [32]Ent
+	have := m.AdjacentTo(e, 0, buf[:0])
+	if len(have) != len(q.verts) {
 		return false
 	}
-	for _, want := range verts {
-		found := false
-		for _, h := range have {
-			if h == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for _, want := range q.verts {
+		if !slices.Contains(have, want) {
 			return false
 		}
+	}
+	return true
+}
+
+// vertMask sets bit i of mask for each closure vertex of e equal to
+// verts[i]; it reports false at the first closure vertex not in verts.
+func (m *Mesh) vertMask(e Ent, verts []Ent, mask *uint32) bool {
+	for _, d := range m.down(e) {
+		if d.T != Vertex {
+			if !m.vertMask(d, verts, mask) {
+				return false
+			}
+			continue
+		}
+		i := slices.Index(verts, d)
+		if i < 0 {
+			return false
+		}
+		*mask |= 1 << i
 	}
 	return true
 }
@@ -359,13 +425,13 @@ func (m *Mesh) BuildFromVerts(t Type, verts []Ent, c gmi.Ref) Ent {
 	if e := m.FindFromVerts(t, verts); e.Ok() {
 		return e
 	}
-	down := make([]Ent, len(downTypes[t]))
+	var down [6]Ent
+	var dv [4]Ent
 	for i, dt := range downTypes[t] {
-		dv := make([]Ent, len(downVerts[t][i]))
 		for j, li := range downVerts[t][i] {
 			dv[j] = verts[li]
 		}
-		down[i] = m.BuildFromVerts(dt, dv, c)
+		down[i] = m.BuildFromVerts(dt, dv[:len(downVerts[t][i])], c)
 	}
-	return m.CreateEntity(t, c, down)
+	return m.CreateEntity(t, c, down[:len(downTypes[t])])
 }

@@ -8,11 +8,12 @@ import (
 
 // Centroid returns the average position of e's vertices.
 func (m *Mesh) Centroid(e Ent) vec.V {
-	var s vec.V
-	vs := m.Adjacent(e, 0)
 	if e.T == Vertex {
 		return m.Coord(e)
 	}
+	var s vec.V
+	var buf [8]Ent
+	vs := m.AdjacentTo(e, 0, buf[:0])
 	for _, v := range vs {
 		s = s.Add(m.Coord(v))
 	}
@@ -31,7 +32,8 @@ func (m *Mesh) Measure(e Ent) float64 {
 		d := m.Down(e)
 		return m.Coord(d[0]).Dist(m.Coord(d[1]))
 	case Tri:
-		v := m.Verts(e)
+		var buf [3]Ent
+		v := m.VertsTo(e, buf[:0])
 		return vec.TriArea(m.Coord(v[0]), m.Coord(v[1]), m.Coord(v[2]))
 	case Quad:
 		v := m.Verts(e)
@@ -42,7 +44,8 @@ func (m *Mesh) Measure(e Ent) float64 {
 		}
 		return a
 	case Tet:
-		v := m.Verts(e)
+		var buf [4]Ent
+		v := m.VertsTo(e, buf[:0])
 		return math.Abs(vec.TetVolume(m.Coord(v[0]), m.Coord(v[1]), m.Coord(v[2]), m.Coord(v[3])))
 	default:
 		// Decompose about the cell centroid: one tet per face triangle.

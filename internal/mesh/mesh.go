@@ -9,12 +9,16 @@
 // Storage follows PUMI's MDS design: per-type struct-of-arrays with
 // free lists, so entities can be created and destroyed dynamically (as
 // mesh adaptation and migration require) without invalidating other
-// handles, and adjacency queries never allocate per-entity objects.
-// Downward adjacency is stored explicitly; upward adjacency is stored
-// as intrusive "use" lists threaded through the downward slots, giving
-// constant-time insertion, deletion and iteration proportional only to
-// local valence — the "complete representation with O(1) adjacency
-// interrogation" the paper requires.
+// handles. Downward adjacency is stored explicitly; upward adjacency is
+// stored as intrusive "use" lists threaded through the downward slots,
+// giving constant-time insertion, deletion and iteration proportional
+// only to local valence — the "complete representation with O(1)
+// adjacency interrogation" the paper requires.
+//
+// Queries walk those arrays directly. The caller-buffer variants
+// DownTo, UpTo, AdjacentTo and VertsTo, and FindByDown, FindFromVerts,
+// UpCount and HasUp, never allocate once the buffer has capacity; Down,
+// Up, Adjacent and Verts allocate only the slice they return.
 package mesh
 
 import (

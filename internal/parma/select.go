@@ -75,14 +75,17 @@ func selectByBoundaryFaces(m *mesh.Mesh, forRegions bool) []Cavity {
 	d := m.Dim()
 	seen := map[mesh.Ent]bool{}
 	var out []Cavity
+	var els, faces []mesh.Ent
 	for f := range m.PartBoundary(d - 1) {
-		for _, el := range m.Adjacent(f, d) {
+		els = m.AdjacentTo(f, d, els[:0])
+		for _, el := range els {
 			if seen[el] || m.IsGhost(el) {
 				continue
 			}
 			seen[el] = true
 			nb, ni := 0, 0
-			for _, ef := range m.Adjacent(el, d-1) {
+			faces = m.AdjacentTo(el, d-1, faces[:0])
+			for _, ef := range faces {
 				if m.IsShared(ef) {
 					nb++
 				} else {
@@ -144,9 +147,11 @@ func closureCounts(m *mesh.Mesh, els []mesh.Ent) [4]int {
 	var counts [4]int
 	seen := map[mesh.Ent]bool{}
 	d := m.Dim()
+	var adj []mesh.Ent
 	for _, el := range els {
 		for dd := 0; dd < d; dd++ {
-			for _, e := range m.Adjacent(el, dd) {
+			adj = m.AdjacentTo(el, dd, adj[:0])
+			for _, e := range adj {
 				if !seen[e] {
 					seen[e] = true
 					counts[dd]++
@@ -168,14 +173,17 @@ func leavingCount(m *mesh.Mesh, cav []mesh.Ent, leaving map[mesh.Ent]bool, dim i
 	}
 	n := 0
 	seen := map[mesh.Ent]bool{}
+	var adj, ups []mesh.Ent
 	for _, el := range cav {
-		for _, e := range m.Adjacent(el, dim) {
+		adj = m.AdjacentTo(el, dim, adj[:0])
+		for _, e := range adj {
 			if seen[e] {
 				continue
 			}
 			seen[e] = true
 			all := true
-			for _, up := range m.Adjacent(e, d) {
+			ups = m.AdjacentTo(e, d, ups[:0])
+			for _, up := range ups {
 				if !leaving[up] {
 					all = false
 					break

@@ -42,14 +42,16 @@ func Ghost(dm *DMesh, bridgeDim, layers int) {
 		// Seed: for each neighbor part q, the elements adjacent to
 		// entities shared with q.
 		seeds := map[int32]map[mesh.Ent]bool{}
+		var adj []mesh.Ent
 		for e := range m.PartBoundary(bridgeDim) {
+			adj = m.AdjacentTo(e, d, adj[:0])
 			for _, q := range m.RemoteParts(e) {
 				set := seeds[q]
 				if set == nil {
 					set = map[mesh.Ent]bool{}
 					seeds[q] = set
 				}
-				for _, el := range m.Adjacent(e, d) {
+				for _, el := range adj {
 					if !m.IsGhost(el) {
 						set[el] = true
 					}
@@ -134,9 +136,11 @@ func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
 	m := part.M
 	movable := writeTagTable(b, m)
 	closure := map[mesh.Ent]bool{}
+	var adj []mesh.Ent
 	for _, el := range els {
 		for dd := 0; dd < d; dd++ {
-			for _, e := range m.Adjacent(el, dd) {
+			adj = m.AdjacentTo(el, dd, adj[:0])
+			for _, e := range adj {
 				closure[e] = true
 			}
 		}

@@ -162,10 +162,12 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// with the move, not the mesh — ParMA runs many small migrations).
 	// contrib(e) = destinations of ALL local elements adjacent to e.
 	contribs := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
+	var adj, ups []mesh.Ent // adjacency scratch reused across entities
 	localContrib := func(i int, m *mesh.Mesh, e mesh.Ent) ds.IntSet {
 		var s ds.IntSet
 		self := m.Part()
-		for _, up := range m.Adjacent(e, d) {
+		ups = m.AdjacentTo(e, d, ups[:0])
+		for _, up := range ups {
 			if dst, moving := dests[i][up]; moving {
 				s.Add(dst)
 			} else {
@@ -179,7 +181,8 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		contrib := map[mesh.Ent]ds.IntSet{}
 		for el := range dests[i] {
 			for dd := 0; dd < d; dd++ {
-				for _, e := range m.Adjacent(el, dd) {
+				adj = m.AdjacentTo(el, dd, adj[:0])
+				for _, e := range adj {
 					if _, done := contrib[e]; !done {
 						contrib[e] = localContrib(i, m, e)
 					}
@@ -349,7 +352,8 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		sort.Slice(els, func(a, b int) bool { return els[a].Less(els[b]) })
 		for _, el := range els {
 			for dd := 0; dd < d; dd++ {
-				for _, e := range m.Adjacent(el, dd) {
+				adj = m.AdjacentTo(el, dd, adj[:0])
+				for _, e := range adj {
 					affected[e] = true
 				}
 			}
@@ -479,9 +483,11 @@ func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, dest int32, els []mesh.
 	d := dm.Dim
 	movable := writeTagTable(b, m)
 	closure := map[mesh.Ent]bool{}
+	var adj []mesh.Ent
 	for _, el := range els {
 		for dd := 0; dd < d; dd++ {
-			for _, e := range m.Adjacent(el, dd) {
+			adj = m.AdjacentTo(el, dd, adj[:0])
+			for _, e := range adj {
 				closure[e] = true
 			}
 		}

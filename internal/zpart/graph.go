@@ -67,8 +67,9 @@ func BridgeGraph(m *mesh.Mesh, bridgeDim int) (*Graph, []mesh.Ent) {
 		u, v int32
 	}
 	weights := map[edge]float64{}
+	var adj []mesh.Ent
 	for b := range m.Iter(bridgeDim) {
-		adj := m.Adjacent(b, m.Dim())
+		adj = m.AdjacentTo(b, m.Dim(), adj[:0])
 		for i := 0; i < len(adj); i++ {
 			for j := i + 1; j < len(adj); j++ {
 				u, v := index[adj[i]], index[adj[j]]
