@@ -120,8 +120,12 @@ func TestIterEarlyStop(t *testing.T) {
 	}
 }
 
+// intSlot addresses int keys in a single column; negative keys have no
+// slot.
+func intSlot(k int) (col, idx int) { return 0, k }
+
 func TestTagTableScalar(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable(1, intSlot)
 	ti, err := tt.Create("weight", TagInt, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,15 +155,16 @@ func TestTagTableScalar(t *testing.T) {
 }
 
 func TestTagTableSlices(t *testing.T) {
-	tt := NewTagTable[string]()
+	const v0 = 3
+	tt := NewTagTable(1, intSlot)
 	tg, err := tt.Create("coords", TagFloatSlice, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := []float64{1, 2, 3}
-	tt.SetFloats(tg, "v0", in)
+	tt.SetFloats(tg, v0, in)
 	in[0] = 99 // must not alias stored data
-	got, ok := tt.GetFloats(tg, "v0")
+	got, ok := tt.GetFloats(tg, v0)
 	if !ok || !slices.Equal(got, []float64{1, 2, 3}) {
 		t.Fatalf("GetFloats = %v,%v", got, ok)
 	}
@@ -167,8 +172,8 @@ func TestTagTableSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt.SetInts(ig, "v0", []int64{4, 5})
-	iv, _ := tt.GetInts(ig, "v0")
+	tt.SetInts(ig, v0, []int64{4, 5})
+	iv, _ := tt.GetInts(ig, v0)
 	if !slices.Equal(iv, []int64{4, 5}) {
 		t.Fatalf("GetInts = %v", iv)
 	}
@@ -176,15 +181,15 @@ func TestTagTableSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt.SetBytes(bg, "v0", []byte("abcd"))
-	bv, _ := tt.GetBytes(bg, "v0")
+	tt.SetBytes(bg, v0, []byte("abcd"))
+	bv, _ := tt.GetBytes(bg, v0)
 	if string(bv) != "abcd" {
 		t.Fatalf("GetBytes = %q", bv)
 	}
 }
 
 func TestTagTableErrorsAndDestroy(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable(1, intSlot)
 	if _, err := tt.Create("x", TagInt, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +214,7 @@ func TestTagTableErrorsAndDestroy(t *testing.T) {
 }
 
 func TestTagTableKindMismatchPanics(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable(1, intSlot)
 	tag, _ := tt.Create("w", TagInt, 0)
 	defer func() {
 		if recover() == nil {
@@ -220,7 +225,7 @@ func TestTagTableKindMismatchPanics(t *testing.T) {
 }
 
 func TestTagTableDeleteAll(t *testing.T) {
-	tt := NewTagTable[int]()
+	tt := NewTagTable(1, intSlot)
 	a, _ := tt.Create("a", TagInt, 0)
 	b, _ := tt.Create("b", TagFloat, 0)
 	tt.SetInt(a, 5, 1)

@@ -103,12 +103,15 @@ func (f *Field) Set(e mesh.Ent, vals ...float64) {
 	f.m.Tags.SetFloats(f.tag, e, vals)
 }
 
-// Get reads nodal values; ok is false when the node is unset.
+// Get reads nodal values; ok is false when the node is unset. The
+// result is a view into the field's storage: it must not be mutated,
+// and it is valid only until the next Set of e (or e's destruction).
 func (f *Field) Get(e mesh.Ent) ([]float64, bool) {
 	return f.m.Tags.GetFloats(f.tag, e)
 }
 
-// MustGet reads nodal values, returning zeros when unset.
+// MustGet reads nodal values like Get, returning fresh zeros when
+// unset. The same view rules apply.
 func (f *Field) MustGet(e mesh.Ent) []float64 {
 	if v, ok := f.Get(e); ok {
 		return v
@@ -155,15 +158,22 @@ func (f *Field) CountNodes() int {
 // simplex element (tri in 2D with z ignored, tet in 3D). Coordinates
 // may be negative when p is outside.
 func Barycentric(m *mesh.Mesh, el mesh.Ent, p vec.V) []float64 {
-	vs := m.Verts(el)
-	switch el.T {
+	var vbuf [8]mesh.Ent
+	w := barycentric(m, el.T, m.VertsTo(el, vbuf[:0]), p)
+	return w[:el.T.VertCount()]
+}
+
+// barycentric computes the coordinates of p in the simplex of type t
+// with vertices vs, without allocating; a triangle leaves w[3] zero.
+func barycentric(m *mesh.Mesh, t mesh.Type, vs []mesh.Ent, p vec.V) (w [4]float64) {
+	switch t {
 	case mesh.Tet:
 		a, b, c, d := m.Coord(vs[0]), m.Coord(vs[1]), m.Coord(vs[2]), m.Coord(vs[3])
 		vol := vec.TetVolume(a, b, c, d)
 		if vol == 0 {
-			return []float64{0.25, 0.25, 0.25, 0.25}
+			return [4]float64{0.25, 0.25, 0.25, 0.25}
 		}
-		return []float64{
+		return [4]float64{
 			vec.TetVolume(p, b, c, d) / vol,
 			vec.TetVolume(a, p, c, d) / vol,
 			vec.TetVolume(a, b, p, d) / vol,
@@ -175,50 +185,48 @@ func Barycentric(m *mesh.Mesh, el mesh.Ent, p vec.V) []float64 {
 		n := b.Sub(a).Cross(c.Sub(a))
 		den := n.Norm2()
 		if den == 0 {
-			return []float64{1. / 3, 1. / 3, 1. / 3}
+			return [4]float64{1. / 3, 1. / 3, 1. / 3}
 		}
 		w0 := b.Sub(p).Cross(c.Sub(p)).Dot(n) / den
 		w1 := c.Sub(p).Cross(a.Sub(p)).Dot(n) / den
 		w2 := 1 - w0 - w1
-		return []float64{w0, w1, w2}
+		return [4]float64{w0, w1, w2}
 	}
-	panic(fmt.Sprintf("field: barycentric unsupported for %v", el.T))
+	panic(fmt.Sprintf("field: barycentric unsupported for %v", t))
 }
 
-// Eval interpolates the field at point p inside simplex element el.
+// Eval interpolates the field at point p inside simplex element el. It
+// allocates only the returned slice.
 func (f *Field) Eval(el mesh.Ent, p vec.V) []float64 {
-	bary := Barycentric(f.m, el, p)
-	vs := f.m.Verts(el)
+	var vbuf [8]mesh.Ent
+	vs := f.m.VertsTo(el, vbuf[:0])
+	bary := barycentric(f.m, el.T, vs, p)
 	out := make([]float64, f.comps)
+	// add accumulates w times e's nodal values; unset nodes are zero.
+	add := func(w float64, e mesh.Ent) {
+		if nv, ok := f.Get(e); ok {
+			for c := range out {
+				out[c] += w * nv[c]
+			}
+		}
+	}
 	switch f.shape {
 	case Linear:
 		for i, v := range vs {
-			nv := f.MustGet(v)
-			for c := 0; c < f.comps; c++ {
-				out[c] += bary[i] * nv[c]
-			}
+			add(bary[i], v)
 		}
 	case Quadratic:
 		// Standard quadratic Lagrange on simplices: vertex shapes
 		// L_i(2L_i - 1), edge shapes 4 L_i L_j.
 		for i, v := range vs {
-			w := bary[i] * (2*bary[i] - 1)
-			nv := f.MustGet(v)
-			for c := 0; c < f.comps; c++ {
-				out[c] += w * nv[c]
-			}
+			add(bary[i]*(2*bary[i]-1), v)
 		}
 		n := len(vs)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				edge := f.m.FindFromVerts(mesh.Edge, []mesh.Ent{vs[i], vs[j]})
-				if !edge.Ok() {
-					continue
-				}
-				w := 4 * bary[i] * bary[j]
-				nv := f.MustGet(edge)
-				for c := 0; c < f.comps; c++ {
-					out[c] += w * nv[c]
+				pair := [2]mesh.Ent{vs[i], vs[j]}
+				if edge := f.m.FindFromVerts(mesh.Edge, pair[:]); edge.Ok() {
+					add(4*bary[i]*bary[j], edge)
 				}
 			}
 		}
@@ -247,30 +255,49 @@ func (f *Field) L2Diff(fn func(vec.V) []float64) float64 {
 	return math.Sqrt(sum)
 }
 
+// partFields resolves one field by name on each part a boundary
+// exchange visits, once per part rather than once per entity.
+type partFields struct {
+	name   string
+	shape  Shape
+	parts  []*partition.Part
+	fields []*Field
+}
+
+func (c *partFields) on(p *partition.Part) *Field {
+	for i, q := range c.parts {
+		if q == p {
+			return c.fields[i]
+		}
+	}
+	f := Find(p.M, c.name, c.shape)
+	c.parts = append(c.parts, p)
+	c.fields = append(c.fields, f)
+	return f
+}
+
+// pack encodes e's nodal values, or an empty record when the part has
+// no such field or e's node is unset.
+func (c *partFields) pack(p *partition.Part, e mesh.Ent, b *pcu.Buffer) {
+	var v []float64
+	if f := c.on(p); f != nil {
+		v, _ = f.Get(e)
+	}
+	b.Float64s(v)
+}
+
 // Sync pushes owned shared node values to all remote copies, making the
 // field single-valued across part boundaries (collective).
 func Sync(dm *partition.DMesh, name string, shape Shape) {
-	partition.SyncShared(dm, shape.NodeDims(),
-		func(p *partition.Part, e mesh.Ent, b *pcu.Buffer) {
-			f := Find(p.M, name, shape)
-			if f == nil {
-				b.Float64s(nil)
-				return
-			}
-			v, ok := f.Get(e)
-			if !ok {
-				b.Float64s(nil)
-				return
-			}
-			b.Float64s(v)
-		},
+	fs := &partFields{name: name, shape: shape}
+	var vals []float64
+	partition.SyncShared(dm, shape.NodeDims(), fs.pack,
 		func(p *partition.Part, e mesh.Ent, r *pcu.Reader) {
-			vals := r.Float64s()
+			vals = r.AppendFloat64s(vals[:0])
 			if len(vals) == 0 {
 				return
 			}
-			f := Find(p.M, name, shape)
-			if f != nil {
+			if f := fs.on(p); f != nil {
 				f.Set(e, vals...)
 			}
 		})
@@ -280,33 +307,26 @@ func Sync(dm *partition.DMesh, name string, shape Shape) {
 // (collective) — the communication step of a parallel FE assembly. The
 // copies' values are left untouched; follow with Sync to redistribute.
 func AccumulateShared(dm *partition.DMesh, name string, shape Shape) {
-	partition.ReduceShared(dm, shape.NodeDims(),
-		func(p *partition.Part, e mesh.Ent, b *pcu.Buffer) {
-			f := Find(p.M, name, shape)
-			if f == nil {
-				b.Float64s(nil)
-				return
-			}
-			v, ok := f.Get(e)
-			if !ok {
-				b.Float64s(nil)
-				return
-			}
-			b.Float64s(v)
-		},
+	fs := &partFields{name: name, shape: shape}
+	var sum []float64
+	partition.ReduceShared(dm, shape.NodeDims(), fs.pack,
 		func(p *partition.Part, e mesh.Ent, r *pcu.Reader) {
-			vals := r.Float64s()
-			if len(vals) == 0 {
+			sum = r.AppendFloat64s(sum[:0])
+			if len(sum) == 0 {
 				return
 			}
-			f := Find(p.M, name, shape)
+			f := fs.on(p)
 			if f == nil {
 				return
 			}
-			cur := f.MustGet(e)
-			for i := range cur {
-				cur[i] += vals[i]
+			// The owner's current values are a read-only view; the sum
+			// is formed in a local buffer and stored through Set, so
+			// the write passes the owner-only guard like any other.
+			if cur, ok := f.Get(e); ok {
+				for i := range cur {
+					sum[i] += cur[i]
+				}
 			}
-			f.Set(e, cur...)
+			f.Set(e, sum...)
 		})
 }

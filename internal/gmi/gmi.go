@@ -55,6 +55,7 @@ type Shape interface {
 // edge (1), face (2) or region (3).
 type Entity struct {
 	Ref   Ref
+	pos   int // index in the model's entities of this dimension
 	shape Shape
 	up    []*Entity
 	down  []*Entity
@@ -74,11 +75,24 @@ type Model struct {
 
 // New returns an empty model of the given dimension (2 or 3).
 func New(dim int) *Model {
-	m := &Model{Tags: ds.NewTagTable[Ref](), Dim: dim}
+	m := &Model{Dim: dim}
 	for d := range m.byTag {
 		m.byTag[d] = make(map[int32]*Entity)
 	}
+	m.Tags = ds.NewTagTable(len(m.ents), m.tagSlot)
 	return m
+}
+
+// tagSlot addresses a model entity's tag data by its dimension and its
+// position among the entities of that dimension; model tags are
+// arbitrary integers, so they cannot index storage directly. A Ref
+// naming no entity has no slot.
+func (m *Model) tagSlot(r Ref) (col, idx int) {
+	e := m.Get(r)
+	if e == nil {
+		return 0, -1
+	}
+	return int(r.Dim), e.pos
 }
 
 // Add creates a model entity of the given dimension and tag with the
@@ -92,7 +106,7 @@ func (m *Model) Add(dim int, tag int32, shape Shape, down ...*Entity) *Entity {
 	if _, dup := m.byTag[dim][tag]; dup {
 		panic(fmt.Sprintf("gmi: duplicate entity %dd#%d", dim, tag))
 	}
-	e := &Entity{Ref: Ref{Dim: int8(dim), Tag: tag}, shape: shape}
+	e := &Entity{Ref: Ref{Dim: int8(dim), Tag: tag}, pos: len(m.ents[dim]), shape: shape}
 	for _, d := range down {
 		if int(d.Ref.Dim) >= dim {
 			panic(fmt.Sprintf("gmi: %v cannot bound %v", d.Ref, e.Ref))

@@ -191,6 +191,20 @@ func TestAdjacentSameDimAndTagTable(t *testing.T) {
 	if v, ok := m.Tags.GetInt(tag, f.Ref); !ok || v != 42 {
 		t.Fatal("model tag round trip failed")
 	}
+	// Slots follow creation order, not the arbitrary tag number: the
+	// same-dimension neighbor and a region keep their own values.
+	g := m.Find(2, 2)
+	r := m.Find(3, 1)
+	m.Tags.SetInt(tag, g.Ref, 7)
+	m.Tags.SetInt(tag, r.Ref, 9)
+	for ref, want := range map[Ref]int64{f.Ref: 42, g.Ref: 7, r.Ref: 9} {
+		if v, ok := m.Tags.GetInt(tag, ref); !ok || v != want {
+			t.Fatalf("tag on %v = %d, %v; want %d", ref, v, ok, want)
+		}
+	}
+	if m.Tags.Has(tag, Ref{Dim: 2, Tag: 1 << 30}) || m.Tags.Has(tag, NoRef) {
+		t.Fatal("a Ref naming no model entity reported tagged")
+	}
 }
 
 func TestModelAddValidation(t *testing.T) {

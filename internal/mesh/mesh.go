@@ -85,7 +85,8 @@ type Mesh struct {
 	// nb caches NeighborParts per dimension against the epoch.
 	nb [4]nbCache
 
-	// Tags attaches arbitrary user data to entities.
+	// Tags attaches user data to entities, stored densely per entity
+	// type like the topology arrays.
 	Tags *ds.TagTable[Ent]
 
 	// sets are named groupings of entities.
@@ -111,7 +112,7 @@ func New(model *gmi.Model, dim int) *Mesh {
 	m := &Mesh{
 		model: model,
 		dim:   dim,
-		Tags:  ds.NewTagTable[Ent](),
+		Tags:  ds.NewTagTable(int(TypeCount), tagSlot),
 		sets:  map[string]*ds.Set[Ent]{},
 	}
 	for t := Type(0); t < TypeCount; t++ {
@@ -122,6 +123,10 @@ func New(model *gmi.Model, dim int) *Mesh {
 	m.Tags.OnSet = func(e Ent) { m.guardWrite("tag", e) }
 	return m
 }
+
+// tagSlot addresses an entity's tag data by its type and index, the
+// same slot its topology occupies.
+func tagSlot(e Ent) (col, idx int) { return int(e.T), int(e.I) }
 
 // Model returns the geometric model the mesh is classified against.
 func (m *Mesh) Model() *gmi.Model { return m.model }

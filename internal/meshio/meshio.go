@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -236,19 +237,51 @@ func ReadAssignment(r io.Reader) ([]int32, error) {
 	return out, nil
 }
 
-// writeTags appends the numeric tag section: a tag directory followed,
-// per dimension and per entity in iteration order, by that entity's
-// tagged values. TagAny values are process-local and not serialized.
-func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
-	var movable []*ds.Tag
-	for _, t := range m.Tags.Tags() {
-		switch t.Kind {
-		case ds.TagInt, ds.TagFloat, ds.TagIntSlice, ds.TagFloatSlice, ds.TagBytes:
-			movable = append(movable, t)
-		}
+// maxTags is the most tags a tag section can index: per-entity records
+// name their tag by one byte.
+const maxTags = 255
+
+// maxTagBytes caps the encoded size of one tagged datum. readTags
+// rejects a directory entry needing more per entity before anything is
+// sized from it, so a corrupt header cannot request a huge buffer.
+const maxTagBytes = 1 << 16
+
+// TagDirError reports a tag directory entry Read cannot accept: an
+// unknown kind, a size past maxTagBytes, or a layout that disagrees
+// with the tag the mesh already has under that name.
+type TagDirError struct {
+	Name   string
+	Kind   ds.TagKind
+	Size   uint32
+	Reason string
+}
+
+func (e *TagDirError) Error() string {
+	return fmt.Sprintf("meshio: tag %q (kind %v, size %d): %s", e.Name, e.Kind, e.Size, e.Reason)
+}
+
+// tagComponentBytes is the encoded width of one component of kind k,
+// or 0 for a kind the format does not define.
+func tagComponentBytes(k ds.TagKind) uint64 {
+	switch k {
+	case ds.TagInt, ds.TagFloat, ds.TagIntSlice, ds.TagFloatSlice:
+		return 8
+	case ds.TagBytes:
+		return 1
 	}
-	binary.Write(w, binary.LittleEndian, uint32(len(movable)))
-	for _, t := range movable {
+	return 0
+}
+
+// writeTags appends the tag section: a tag directory followed, per
+// dimension and per entity in iteration order, by that entity's tagged
+// values.
+func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
+	tags := m.Tags.Tags()
+	if len(tags) > maxTags {
+		return fmt.Errorf("meshio: %d tags, at most %d fit the format", len(tags), maxTags)
+	}
+	binary.Write(w, binary.LittleEndian, uint32(len(tags)))
+	for _, t := range tags {
 		binary.Write(w, binary.LittleEndian, uint32(len(t.Name)))
 		w.WriteString(t.Name)
 		w.WriteByte(byte(t.Kind))
@@ -257,13 +290,13 @@ func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
 	for d := 0; d <= m.Dim(); d++ {
 		for e := range m.Iter(d) {
 			present := uint8(0)
-			for _, t := range movable {
+			for _, t := range tags {
 				if m.Tags.Has(t, e) {
 					present++
 				}
 			}
 			w.WriteByte(present)
-			for ti, t := range movable {
+			for ti, t := range tags {
 				if !m.Tags.Has(t, e) {
 					continue
 				}
@@ -293,13 +326,14 @@ func writeTags(w *bufio.Writer, m *mesh.Mesh) error {
 
 // readTags restores the tag section written by writeTags. Entity order
 // matches the write order because BuildFromVerts created entities in
-// file order.
+// file order. Directory entries are validated before use (see
+// TagDirError).
 func readTags(r *bufio.Reader, m *mesh.Mesh) error {
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return fmt.Errorf("meshio: tag directory: %w", err)
 	}
-	if n > 255 {
+	if n > maxTags {
 		return fmt.Errorf("meshio: %d tags", n)
 	}
 	tags := make([]*ds.Tag, n)
@@ -323,15 +357,34 @@ func readTags(r *bufio.Reader, m *mesh.Mesh) error {
 		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
 			return err
 		}
-		tag := m.Tags.Find(string(name))
+		bad := &TagDirError{Name: string(name), Kind: ds.TagKind(kindB), Size: size}
+		width := tagComponentBytes(bad.Kind)
+		switch {
+		case width == 0:
+			bad.Reason = "unknown kind"
+			return bad
+		case uint64(size)*width > maxTagBytes:
+			bad.Reason = fmt.Sprintf("%d bytes per entity exceeds the %d-byte cap", uint64(size)*width, maxTagBytes)
+			return bad
+		}
+		tag := m.Tags.Find(bad.Name)
 		if tag == nil {
-			tag, err = m.Tags.Create(string(name), ds.TagKind(kindB), int(size))
+			tag, err = m.Tags.Create(bad.Name, bad.Kind, int(size))
 			if err != nil {
-				return fmt.Errorf("meshio: recreating tag %q: %w", name, err)
+				bad.Reason = err.Error()
+				return bad
 			}
+		}
+		if tag.Kind != bad.Kind || tag.Size != int(size) {
+			bad.Reason = fmt.Sprintf("conflicts with the mesh's %v tag of size %d", tag.Kind, tag.Size)
+			return bad
 		}
 		tags[i] = tag
 	}
+	// Set copies, so one scratch buffer per kind serves every entity.
+	var ints []int64
+	var floats []float64
+	var raw []byte
 	for d := 0; d <= m.Dim(); d++ {
 		for e := range m.Iter(d) {
 			present, err := r.ReadByte()
@@ -361,23 +414,23 @@ func readTags(r *bufio.Reader, m *mesh.Mesh) error {
 					}
 					m.Tags.SetFloat(tag, e, v)
 				case ds.TagIntSlice:
-					v := make([]int64, tag.Size)
-					if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+					ints = slices.Grow(ints[:0], tag.Size)[:tag.Size]
+					if err := binary.Read(r, binary.LittleEndian, ints); err != nil {
 						return err
 					}
-					m.Tags.SetInts(tag, e, v)
+					m.Tags.SetInts(tag, e, ints)
 				case ds.TagFloatSlice:
-					v := make([]float64, tag.Size)
-					if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+					floats = slices.Grow(floats[:0], tag.Size)[:tag.Size]
+					if err := binary.Read(r, binary.LittleEndian, floats); err != nil {
 						return err
 					}
-					m.Tags.SetFloats(tag, e, v)
+					m.Tags.SetFloats(tag, e, floats)
 				case ds.TagBytes:
-					v := make([]byte, tag.Size)
-					if _, err := io.ReadFull(r, v); err != nil {
+					raw = slices.Grow(raw[:0], tag.Size)[:tag.Size]
+					if _, err := io.ReadFull(r, raw); err != nil {
 						return err
 					}
-					m.Tags.SetBytes(tag, e, v)
+					m.Tags.SetBytes(tag, e, raw)
 				}
 			}
 		}

@@ -2,6 +2,9 @@ package meshio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -238,5 +241,63 @@ func TestV1StillReadable(t *testing.T) {
 	}
 	if m2.Count(3) != 6 {
 		t.Fatalf("tets = %d", m2.Count(3))
+	}
+}
+
+// withTagDirectory returns a valid file for a small mesh whose tag
+// section is replaced by a one-entry directory declaring (name, kind,
+// size) followed by the given tail.
+func withTagDirectory(t *testing.T, kind byte, size uint32, tail []byte) []byte {
+	t.Helper()
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 1, 1, 1)
+	var buf bytes.Buffer
+	if err := Write(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	// The empty tag section is the 4-byte count plus one presence byte
+	// per entity.
+	nEnts := m.Count(0) + m.Count(1) + m.Count(2) + m.Count(3)
+	raw := buf.Bytes()[:buf.Len()-4-nEnts]
+	le := binary.LittleEndian
+	raw = le.AppendUint32(raw, 1)
+	raw = le.AppendUint32(raw, 1)
+	raw = append(raw, 'x', kind)
+	raw = le.AppendUint32(raw, size)
+	return append(raw, tail...)
+}
+
+func TestReadRejectsCorruptTagDirectory(t *testing.T) {
+	presence := make([]byte, 64) // no entity carries the tag
+	for _, c := range []struct {
+		name   string
+		kind   byte
+		size   uint32
+		reason string
+	}{
+		{"huge float slice", byte(ds.TagFloatSlice), 1 << 32 / 8, "cap"},
+		{"max size", byte(ds.TagBytes), math.MaxUint32, "cap"},
+		{"kind 5", 5, 1, "unknown kind"},
+		{"kind 255", 255, 1, "unknown kind"},
+		{"zero-size slice", byte(ds.TagIntSlice), 0, "size 0 invalid"},
+		{"scalar with size", byte(ds.TagInt), 3, "conflicts"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(withTagDirectory(t, c.kind, c.size, presence)), nil)
+			var bad *TagDirError
+			if !errors.As(err, &bad) {
+				t.Fatalf("Read = %v, want a *TagDirError", err)
+			}
+			if bad.Name != "x" || bad.Size != c.size || !strings.Contains(bad.Reason, c.reason) {
+				t.Fatalf("TagDirError %+v, want reason containing %q", *bad, c.reason)
+			}
+		})
+	}
+	// The same directory with a sane size still loads.
+	m, err := Read(bytes.NewReader(withTagDirectory(t, byte(ds.TagFloatSlice), 3, presence)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag := m.Tags.Find("x"); tag == nil || tag.Kind != ds.TagFloatSlice || tag.Size != 3 {
+		t.Fatalf("tag x = %+v", tag)
 	}
 }

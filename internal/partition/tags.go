@@ -10,18 +10,12 @@ import (
 
 // Tag data travels with entities: migration and ghosting pack the
 // sender's tag values for every transferred entity and recreate them on
-// the receiver (PUMI semantics — a copy carries its tag data). Only
-// scalar and slice numeric tags move; TagAny values are host-local.
+// the receiver (PUMI semantics — a copy carries its tag data). Every
+// tag kind is fixed-width numeric data, so every tag moves.
 
-// writeTagTable encodes the sender part's movable tag directory.
+// writeTagTable encodes the sender part's tag directory.
 func writeTagTable(b *pcu.Buffer, m *mesh.Mesh) []*ds.Tag {
-	var movable []*ds.Tag
-	for _, t := range m.Tags.Tags() {
-		switch t.Kind {
-		case ds.TagInt, ds.TagFloat, ds.TagIntSlice, ds.TagFloatSlice, ds.TagBytes:
-			movable = append(movable, t)
-		}
-	}
+	movable := m.Tags.Tags()
 	if len(movable) > 255 {
 		panic("partition: more than 255 movable tags")
 	}
