@@ -81,6 +81,10 @@ func recursiveBisect(in GeomInput, nparts int, split splitter) []int32 {
 // splitAtWeightedMedian orders idx by the given keys and cuts so the
 // left side holds ~leftFrac of the total weight.
 func splitAtWeightedMedian(in GeomInput, idx []int, key []float64, leftFrac float64) (left, right []int) {
+	if len(idx) == 0 {
+		// More parts than points: the surplus parts stay empty.
+		return nil, nil
+	}
 	ord := make([]int, len(idx))
 	copy(ord, idx)
 	sort.SliceStable(ord, func(a, b int) bool {

@@ -1,7 +1,9 @@
 package zpart
 
 import (
-	"sort"
+	"fmt"
+	"runtime"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/mesh"
 )
@@ -26,19 +28,25 @@ func (h *Hypergraph) NN() int { return len(h.NWt) }
 // ConnectivityCut returns the (lambda-1) cut metric: for each net, its
 // weight times (number of parts it spans - 1). This is the objective
 // hypergraph partitioners like Zoltan PHG minimize, modeling true
-// communication volume.
+// communication volume. Part ids must be non-negative.
 func (h *Hypergraph) ConnectivityCut(part []int32) float64 {
+	nparts := int32(0)
+	for _, p := range part {
+		nparts = max(nparts, p+1)
+	}
+	// stamp[p] == n+1 marks part p as already counted for net n.
+	stamp := make([]int32, nparts)
 	cut := 0.0
-	seen := map[int32]bool{}
 	for n := 0; n < h.NN(); n++ {
-		for k := range seen {
-			delete(seen, k)
-		}
+		spans := 0
 		for j := h.NX[n]; j < h.NX[n+1]; j++ {
-			seen[part[h.Pins[j]]] = true
+			if p := part[h.Pins[j]]; stamp[p] != int32(n+1) {
+				stamp[p] = int32(n + 1)
+				spans++
+			}
 		}
-		if len(seen) > 1 {
-			cut += h.NWt[n] * float64(len(seen)-1)
+		if spans > 1 {
+			cut += h.NWt[n] * float64(spans-1)
 		}
 	}
 	return cut
@@ -56,51 +64,42 @@ func ElementHypergraph(m *mesh.Mesh, netDim int) (*Hypergraph, []mesh.Ent) {
 		index[el] = int32(len(els))
 		els = append(els, el)
 	}
-	h := &Hypergraph{VWt: make([]float64, len(els))}
+	h := &Hypergraph{VWt: make([]float64, len(els)), NX: []int32{0}}
 	for i := range h.VWt {
 		h.VWt[i] = 1
 	}
-	var pinLists [][]int32
 	var adj []mesh.Ent
 	for b := range m.Iter(netDim) {
 		adj = m.AdjacentTo(b, m.Dim(), adj[:0])
 		if len(adj) < 2 {
 			continue
 		}
-		pins := make([]int32, len(adj))
-		for i, el := range adj {
-			pins[i] = index[el]
+		for _, el := range adj {
+			h.Pins = append(h.Pins, index[el])
 		}
-		pinLists = append(pinLists, pins)
+		h.NX = append(h.NX, int32(len(h.Pins)))
+		h.NWt = append(h.NWt, 1)
 	}
-	h.buildFromPins(pinLists)
+	h.buildNets()
 	return h, els
 }
 
-func (h *Hypergraph) buildFromPins(pinLists [][]int32) {
-	nn := len(pinLists)
-	h.NWt = make([]float64, nn)
-	h.NX = make([]int32, nn+1)
-	for n, pins := range pinLists {
-		h.NWt[n] = 1
-		h.NX[n+1] = h.NX[n] + int32(len(pins))
+// buildNets derives the vertex-to-net view (VX, Nets) from the net-to-pin
+// view (NX, Pins). Each vertex lists its nets in ascending net order,
+// which fixes the summation order of every gain and score over them.
+func (h *Hypergraph) buildNets() {
+	nv := h.NV()
+	h.VX = make([]int32, nv+1)
+	for _, p := range h.Pins {
+		h.VX[p+1]++
 	}
-	h.Pins = make([]int32, h.NX[nn])
-	vdeg := make([]int32, h.NV()+1)
-	for n, pins := range pinLists {
-		copy(h.Pins[h.NX[n]:], pins)
-		for _, p := range pins {
-			vdeg[p+1]++
-		}
+	for i := 0; i < nv; i++ {
+		h.VX[i+1] += h.VX[i]
 	}
-	for i := 0; i < h.NV(); i++ {
-		vdeg[i+1] += vdeg[i]
-	}
-	h.VX = vdeg
-	h.Nets = make([]int32, h.VX[h.NV()])
-	fill := make([]int32, h.NV())
-	for n, pins := range pinLists {
-		for _, p := range pins {
+	h.Nets = make([]int32, len(h.Pins))
+	fill := make([]int32, nv)
+	for n := 0; n < h.NN(); n++ {
+		for _, p := range h.Pins[h.NX[n]:h.NX[n+1]] {
 			h.Nets[h.VX[p]+fill[p]] = int32(n)
 			fill[p]++
 		}
@@ -112,8 +111,15 @@ func (h *Hypergraph) buildFromPins(pinLists [][]int32) {
 // coarsening (vertices matched with the neighbor sharing the most
 // nets), greedy initial growth, and FM refinement with net-based gains.
 // It is the stand-in for Zoltan's parallel hypergraph partitioner used
-// as test T0 in the paper.
+// as test T0 in the paper. Like Zoltan's, the recursion runs in
+// parallel: the two halves of a bisection are partitioned concurrently
+// while a slot in phgSlots is free. Each half writes its own disjoint
+// entries of the result, so the assignment does not depend on
+// scheduling or GOMAXPROCS.
 func PHG(h *Hypergraph, nparts int) []int32 {
+	if nparts < 1 {
+		panic(fmt.Sprintf("zpart: nparts = %d", nparts))
+	}
 	out := make([]int32, h.NV())
 	ids := make([]int32, h.NV())
 	for i := range ids {
@@ -122,6 +128,9 @@ func PHG(h *Hypergraph, nparts int) []int32 {
 	phgRecurse(h, ids, 0, nparts, out)
 	return out
 }
+
+// phgSlots bounds the goroutines PHG's recursion runs beside its callers.
+var phgSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 func phgRecurse(h *Hypergraph, globalIDs []int32, base, k int, out []int32) {
 	if k == 1 {
@@ -132,17 +141,20 @@ func phgRecurse(h *Hypergraph, globalIDs []int32, base, k int, out []int32) {
 	}
 	kl := k / 2
 	side := hBisectMultilevel(h, float64(kl)/float64(k))
-	for s := uint8(0); s < 2; s++ {
-		sh, ids := h.sub(side, s)
-		subIDs := make([]int32, len(ids))
-		for i, li := range ids {
-			subIDs[i] = globalIDs[li]
-		}
-		if s == 0 {
-			phgRecurse(sh, subIDs, base, kl, out)
-		} else {
-			phgRecurse(sh, subIDs, base+kl, k-kl, out)
-		}
+	lh, lids := h.sub(side, 0, globalIDs)
+	rh, rids := h.sub(side, 1, globalIDs)
+	select {
+	case phgSlots <- struct{}{}:
+		done := make(chan struct{})
+		go func() {
+			defer func() { <-phgSlots; close(done) }()
+			phgRecurse(rh, rids, base+kl, k-kl, out)
+		}()
+		phgRecurse(lh, lids, base, kl, out)
+		<-done
+	default:
+		phgRecurse(lh, lids, base, kl, out)
+		phgRecurse(rh, rids, base+kl, k-kl, out)
 	}
 }
 
@@ -168,35 +180,42 @@ func hBisectMultilevel(h *Hypergraph, leftFrac float64) []uint8 {
 }
 
 // coarsen matches each vertex with the unmatched vertex it shares the
-// most net weight with (inner-product matching).
+// most net weight with (inner-product matching; ties go to the lowest
+// vertex id, so the choice does not depend on visiting order).
 func (h *Hypergraph) coarsen() (*Hypergraph, []int32) {
 	nv := h.NV()
 	match := make([]int32, nv)
 	for i := range match {
 		match[i] = -1
 	}
-	score := map[int32]float64{}
+	score := make([]float64, nv)
+	// stamp[u] == v+1 marks u as already in touched for vertex v.
+	stamp := make([]int32, nv)
+	var touched []int32
 	for v := 0; v < nv; v++ {
 		if match[v] >= 0 {
 			continue
 		}
-		for k := range score {
-			delete(score, k)
-		}
+		touched = touched[:0]
 		for j := h.VX[v]; j < h.VX[v+1]; j++ {
 			n := h.Nets[j]
 			sz := float64(h.NX[n+1] - h.NX[n])
 			for pj := h.NX[n]; pj < h.NX[n+1]; pj++ {
 				u := h.Pins[pj]
 				if int(u) != v && match[u] < 0 {
+					if stamp[u] != int32(v+1) {
+						stamp[u] = int32(v + 1)
+						score[u] = 0
+						touched = append(touched, u)
+					}
 					score[u] += h.NWt[n] / (sz - 1)
 				}
 			}
 		}
 		best := int32(-1)
 		bestS := 0.0
-		for u, s := range score {
-			if s > bestS || (s == bestS && best >= 0 && u < best) {
+		for _, u := range touched {
+			if s := score[u]; s > bestS || (s == bestS && best >= 0 && u < best) {
 				bestS = s
 				best = u
 			}
@@ -219,256 +238,147 @@ func (h *Hypergraph) coarsen() (*Hypergraph, []int32) {
 			nc++
 		}
 	}
-	ch := &Hypergraph{VWt: make([]float64, nc)}
+	ch := &Hypergraph{VWt: make([]float64, nc), NX: []int32{0}}
 	for v := 0; v < nv; v++ {
 		ch.VWt[cmap[v]] += h.VWt[v]
 	}
-	// Remap nets; drop singletons; merge identical pin sets.
-	var pinLists [][]int32
-	netWts := []float64{}
-	seenNets := map[string]int{}
-	var keyBuf []byte
+	// Remap nets; drop singletons; merge identical pin sets into the
+	// first occurrence. first maps a pin-set hash to its latest coarse
+	// net + 1 (0: none), next chains the earlier ones with that hash.
+	first := make(map[uint64]int32, h.NN())
+	var next []int32
+	stamp = stamp[:nc]
+	clear(stamp)
 	for n := 0; n < h.NN(); n++ {
-		set := map[int32]bool{}
+		start := int32(len(ch.Pins))
 		for j := h.NX[n]; j < h.NX[n+1]; j++ {
-			set[cmap[h.Pins[j]]] = true
+			if c := cmap[h.Pins[j]]; stamp[c] != int32(n+1) {
+				stamp[c] = int32(n + 1)
+				ch.Pins = append(ch.Pins, c)
+			}
 		}
-		if len(set) < 2 {
+		pins := ch.Pins[start:]
+		if len(pins) < 2 {
+			ch.Pins = ch.Pins[:start]
 			continue
 		}
-		pins := make([]int32, 0, len(set))
-		for p := range set {
-			pins = append(pins, p)
-		}
-		sort.Slice(pins, func(a, b int) bool { return pins[a] < pins[b] })
-		keyBuf = keyBuf[:0]
+		slices.Sort(pins)
+		key := uint64(14695981039346656037) // FNV-1a
 		for _, p := range pins {
-			keyBuf = append(keyBuf, byte(p>>24), byte(p>>16), byte(p>>8), byte(p))
+			key = (key ^ uint64(uint32(p))) * 1099511628211
 		}
-		if idx, ok := seenNets[string(keyBuf)]; ok {
-			netWts[idx] += h.NWt[n]
+		c := first[key]
+		for c > 0 && !slices.Equal(ch.Pins[ch.NX[c-1]:ch.NX[c]], pins) {
+			c = next[c-1]
+		}
+		if c > 0 {
+			ch.NWt[c-1] += h.NWt[n]
+			ch.Pins = ch.Pins[:start]
 			continue
 		}
-		seenNets[string(keyBuf)] = len(pinLists)
-		pinLists = append(pinLists, pins)
-		netWts = append(netWts, h.NWt[n])
+		next = append(next, first[key])
+		first[key] = int32(len(ch.NWt)) + 1
+		ch.NX = append(ch.NX, int32(len(ch.Pins)))
+		ch.NWt = append(ch.NWt, h.NWt[n])
 	}
-	ch.buildFromPins(pinLists)
-	copy(ch.NWt, netWts)
+	ch.buildNets()
 	return ch, cmap
 }
 
-func (h *Hypergraph) sub(part []uint8, side uint8) (*Hypergraph, []int32) {
-	var ids []int32
+// sub extracts the sub-hypergraph induced by the vertices on the given
+// side, keeping the nets with at least two pins there. It returns the
+// sub-hypergraph and, per sub-vertex, its entry of ids.
+func (h *Hypergraph) sub(part []uint8, side uint8, ids []int32) (*Hypergraph, []int32) {
+	var subIDs []int32
 	local := make([]int32, h.NV())
-	for i := range local {
-		local[i] = -1
-	}
-	for v := 0; v < h.NV(); v++ {
+	for v := range local {
+		local[v] = -1
 		if part[v] == side {
-			local[v] = int32(len(ids))
-			ids = append(ids, int32(v))
+			local[v] = int32(len(subIDs))
+			subIDs = append(subIDs, ids[v])
 		}
 	}
-	sh := &Hypergraph{VWt: make([]float64, len(ids))}
-	for li, v := range ids {
-		sh.VWt[li] = h.VWt[v]
+	sh := &Hypergraph{VWt: make([]float64, len(subIDs)), NX: []int32{0}}
+	for v, lv := range local {
+		if lv >= 0 {
+			sh.VWt[lv] = h.VWt[v]
+		}
 	}
-	var pinLists [][]int32
-	var netWts []float64
 	for n := 0; n < h.NN(); n++ {
-		var pins []int32
+		start := len(sh.Pins)
 		for j := h.NX[n]; j < h.NX[n+1]; j++ {
 			if lp := local[h.Pins[j]]; lp >= 0 {
-				pins = append(pins, lp)
+				sh.Pins = append(sh.Pins, lp)
 			}
 		}
-		if len(pins) >= 2 {
-			pinLists = append(pinLists, pins)
-			netWts = append(netWts, h.NWt[n])
+		if len(sh.Pins)-start < 2 {
+			sh.Pins = sh.Pins[:start]
+			continue
 		}
+		sh.NX = append(sh.NX, int32(len(sh.Pins)))
+		sh.NWt = append(sh.NWt, h.NWt[n])
 	}
-	sh.buildFromPins(pinLists)
-	copy(sh.NWt, netWts)
-	return sh, ids
+	sh.buildNets()
+	return sh, subIDs
 }
 
+// hGreedyGrow grows side 0 breadth-first from vertex 0 through shared
+// nets until it holds ~leftFrac of the weight.
 func hGreedyGrow(h *Hypergraph, leftFrac float64) []uint8 {
-	nv := h.NV()
-	p := make([]uint8, nv)
-	for i := range p {
-		p[i] = 1
-	}
-	if nv == 0 {
-		return p
-	}
-	total := 0.0
-	for _, w := range h.VWt {
-		total += w
-	}
-	target := total * leftFrac
-	acc := 0.0
-	visited := make([]bool, nv)
-	queue := []int32{0}
-	visited[0] = true
-	for len(queue) > 0 && acc < target {
-		v := queue[0]
-		queue = queue[1:]
-		p[v] = 0
-		acc += h.VWt[v]
-		for j := h.VX[v]; j < h.VX[v+1]; j++ {
-			n := h.Nets[j]
-			for pj := h.NX[n]; pj < h.NX[n+1]; pj++ {
-				u := h.Pins[pj]
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, u)
-				}
+	return growBFS(h.VWt, 0, leftFrac, func(v int32, visit func(u int32)) {
+		for _, n := range h.Nets[h.VX[v]:h.VX[v+1]] {
+			for _, u := range h.Pins[h.NX[n]:h.NX[n+1]] {
+				visit(u)
 			}
 		}
-		if len(queue) == 0 && acc < target {
-			for u := 0; u < nv; u++ {
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, int32(u))
-					break
-				}
-			}
-		}
-	}
-	return p
+	})
 }
 
 // hFMRefine improves a hypergraph bisection with FM passes using the
 // standard net-based gain: moving v helps when it empties its side of a
 // net and hurts when it breaks a pure net.
 func hFMRefine(h *Hypergraph, p []uint8, leftFrac float64, passes int) {
-	nv := h.NV()
-	total := 0.0
-	maxVW := 0.0
-	for _, w := range h.VWt {
-		total += w
-		if w > maxVW {
-			maxVW = w
-		}
-	}
-	target := total * leftFrac
-	tol := total * 0.02
-	if maxVW > tol {
-		tol = maxVW
-	}
-	// side counts per net
-	cnt := make([][2]int32, h.NN())
-	recount := func() {
-		for n := range cnt {
-			cnt[n] = [2]int32{}
-		}
-		for n := 0; n < h.NN(); n++ {
-			for j := h.NX[n]; j < h.NX[n+1]; j++ {
-				cnt[n][p[h.Pins[j]]]++
-			}
-		}
-	}
-	gain := func(v int32) float64 {
-		g := 0.0
-		from := p[v]
-		to := from ^ 1
-		for j := h.VX[v]; j < h.VX[v+1]; j++ {
-			n := h.Nets[j]
-			if cnt[n][from] == 1 && cnt[n][to] > 0 {
-				g += h.NWt[n]
-			}
-			if cnt[n][to] == 0 {
-				g -= h.NWt[n]
-			}
-		}
-		return g
-	}
-	leftW := 0.0
-	for v := 0; v < nv; v++ {
-		if p[v] == 0 {
-			leftW += h.VWt[v]
-		}
-	}
-	ver := make([]int64, nv)
-	for pass := 0; pass < passes; pass++ {
-		recount()
-		var hp gainHeap
-		moved := make([]bool, nv)
-		for v := int32(0); v < int32(nv); v++ {
-			onBoundary := false
-			for j := h.VX[v]; j < h.VX[v+1]; j++ {
-				n := h.Nets[j]
-				if cnt[n][0] > 0 && cnt[n][1] > 0 {
-					onBoundary = true
-					break
+	cnt := make([][2]int32, h.NN()) // pins per side of each net
+	nets := func(v int32) []int32 { return h.Nets[h.VX[v]:h.VX[v+1]] }
+	fmPasses(h.VWt, p, leftFrac, passes, fmHooks{
+		gain: func(v int32) float64 {
+			g := 0.0
+			from := p[v]
+			to := from ^ 1
+			for _, n := range nets(v) {
+				if cnt[n][from] == 1 && cnt[n][to] > 0 {
+					g += h.NWt[n]
+				}
+				if cnt[n][to] == 0 {
+					g -= h.NWt[n]
 				}
 			}
-			if onBoundary {
-				hp.PushItem(gainItem{v: v, gain: gain(v), ver: ver[v]})
+			return g
+		},
+		boundary: func(v int32) bool {
+			for _, n := range nets(v) {
+				if cnt[n][0] > 0 && cnt[n][1] > 0 {
+					return true
+				}
 			}
-		}
-		var seq []int32
-		cum, best := 0.0, 0.0
-		bestLen := 0
-		for hp.Len() > 0 {
-			it := hp.PopItem()
-			if moved[it.v] || it.ver != ver[it.v] {
-				continue
+			return false
+		},
+		beginPass: func() {
+			clear(cnt)
+			for n := range cnt {
+				for _, v := range h.Pins[h.NX[n]:h.NX[n+1]] {
+					cnt[n][p[v]]++
+				}
 			}
-			w := h.VWt[it.v]
-			newLeft := leftW
-			if p[it.v] == 0 {
-				newLeft -= w
-			} else {
-				newLeft += w
-			}
-			if newLeft < target-tol || newLeft > target+tol {
-				continue
-			}
-			gv := gain(it.v)
-			if gv < it.gain-1e-12 {
-				ver[it.v]++
-				hp.PushItem(gainItem{v: it.v, gain: gv, ver: ver[it.v]})
-				continue
-			}
-			from := p[it.v]
-			p[it.v] ^= 1
-			leftW = newLeft
-			moved[it.v] = true
-			for j := h.VX[it.v]; j < h.VX[it.v+1]; j++ {
-				n := h.Nets[j]
+		},
+		move: func(v int32, from uint8, touch func(u int32)) {
+			for _, n := range nets(v) {
 				cnt[n][from]--
 				cnt[n][from^1]++
-				for pj := h.NX[n]; pj < h.NX[n+1]; pj++ {
-					u := h.Pins[pj]
-					if !moved[u] {
-						ver[u]++
-						hp.PushItem(gainItem{v: u, gain: gain(u), ver: ver[u]})
-					}
+				for _, u := range h.Pins[h.NX[n]:h.NX[n+1]] {
+					touch(u)
 				}
 			}
-			seq = append(seq, it.v)
-			cum += gv
-			if cum > best {
-				best = cum
-				bestLen = len(seq)
-			}
-			if len(seq)-bestLen > 200 {
-				break
-			}
-		}
-		for i := len(seq) - 1; i >= bestLen; i-- {
-			v := seq[i]
-			if p[v] == 0 {
-				leftW -= h.VWt[v]
-			} else {
-				leftW += h.VWt[v]
-			}
-			p[v] ^= 1
-		}
-		if best <= 0 {
-			break
-		}
-	}
+		},
+	})
 }

@@ -1,8 +1,8 @@
 package zpart
 
 import (
-	"container/heap"
-	"sort"
+	"fmt"
+	"slices"
 )
 
 // MLGraph partitions the graph into nparts by multilevel recursive
@@ -11,6 +11,9 @@ import (
 // uncoarsening. This is the role graph partitioners (ParMETIS/Zoltan
 // graph) play in the paper's workflow.
 func MLGraph(g *Graph, nparts int) []int32 {
+	if nparts < 1 {
+		panic(fmt.Sprintf("zpart: nparts = %d", nparts))
+	}
 	out := make([]int32, g.N())
 	idx := make([]int32, g.N())
 	for i := range idx {
@@ -72,7 +75,24 @@ func bisectMultilevel(g *Graph, leftFrac float64) []uint8 {
 // greedyGrow seeds side 0 from a pseudo-peripheral vertex and grows by
 // BFS until it holds ~leftFrac of the weight.
 func greedyGrow(g *Graph, leftFrac float64) []uint8 {
-	n := g.N()
+	seed := int32(0)
+	if g.N() > 0 {
+		seed = pseudoPeripheral(g)
+	}
+	return growBFS(g.VWt, seed, leftFrac, func(v int32, visit func(u int32)) {
+		for _, u := range g.Adj[g.XAdj[v]:g.XAdj[v+1]] {
+			visit(u)
+		}
+	})
+}
+
+// growBFS puts every vertex on side 1, then moves vertices to side 0
+// breadth-first from seed, visiting each vertex's neighbors in the
+// order neighbors lists them, until side 0 holds ~leftFrac of the
+// weight. A disconnected search restarts from the first unvisited
+// vertex.
+func growBFS(vwt []float64, seed int32, leftFrac float64, neighbors func(v int32, visit func(u int32))) []uint8 {
+	n := len(vwt)
 	p := make([]uint8, n)
 	for i := range p {
 		p[i] = 1
@@ -80,32 +100,30 @@ func greedyGrow(g *Graph, leftFrac float64) []uint8 {
 	if n == 0 {
 		return p
 	}
-	seed := pseudoPeripheral(g)
-	target := g.TotalVWt() * leftFrac
+	total := 0.0
+	for _, w := range vwt {
+		total += w
+	}
+	target := total * leftFrac
 	acc := 0.0
 	visited := make([]bool, n)
-	queue := []int32{seed}
+	queue := make([]int32, 1, n)
+	queue[0] = seed
 	visited[seed] = true
-	for len(queue) > 0 && acc < target {
-		v := queue[0]
-		queue = queue[1:]
-		p[v] = 0
-		acc += g.VWt[v]
-		for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
-			u := g.Adj[j]
-			if !visited[u] {
-				visited[u] = true
-				queue = append(queue, u)
-			}
+	visit := func(u int32) {
+		if !visited[u] {
+			visited[u] = true
+			queue = append(queue, u)
 		}
-		if len(queue) == 0 && acc < target {
-			// Disconnected: restart from the first unvisited vertex.
-			for u := 0; u < n; u++ {
-				if !visited[u] {
-					visited[u] = true
-					queue = append(queue, int32(u))
-					break
-				}
+	}
+	for head := 0; head < len(queue) && acc < target; head++ {
+		v := queue[head]
+		p[v] = 0
+		acc += vwt[v]
+		neighbors(v, visit)
+		if head+1 == len(queue) && acc < target {
+			if u := slices.Index(visited, false); u >= 0 {
+				visit(int32(u))
 			}
 		}
 	}
@@ -139,82 +157,149 @@ func pseudoPeripheral(g *Graph) int32 {
 	return seed
 }
 
-// gainHeap is a max-heap of (vertex, gain) with lazy invalidation.
+// gainItem is a queued FM move: vertex v with its gain when queued and
+// the vertex's version then (a bumped version invalidates the entry).
 type gainItem struct {
 	v    int32
 	gain float64
 	ver  int64
 }
 
+// gainHeap is a max-heap of gainItems with lazy invalidation. PushItem
+// and PopItem sift in place with exactly container/heap's up/down
+// comparisons, so the pop order, ties included, is the one
+// heap.Push/heap.Pop would give, without boxing an item.
 type gainHeap []gainItem
 
-func (h gainHeap) Len() int             { return len(h) }
-func (h gainHeap) Less(i, j int) bool   { return h[i].gain > h[j].gain }
-func (h gainHeap) Swap(i, j int)        { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x any)          { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() any            { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h gainHeap) PeekGain() float64    { return h[0].gain }
-func (h *gainHeap) PopItem() gainItem   { return heap.Pop(h).(gainItem) }
-func (h *gainHeap) PushItem(i gainItem) { heap.Push(h, i) }
+func (h gainHeap) Len() int { return len(h) }
 
-// fmRefine improves a bisection in place with FM passes: vertices move
+// PushItem adds it to the heap.
+func (h *gainHeap) PushItem(it gainItem) {
+	*h = append(*h, it)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(it.gain > q[i].gain) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = it
+}
+
+// PopItem removes and returns the item with the largest gain.
+func (h *gainHeap) PopItem() gainItem {
+	q := *h
+	n := len(q) - 1
+	top, it := q[0], q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].gain > q[j].gain {
+			j = j2
+		}
+		if !(q[j].gain > it.gain) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = it
+	*h = q[:n]
+	return top
+}
+
+// fmRefine improves a graph bisection with FM passes using the edge-cut
+// gain: external minus internal edge weight.
+func fmRefine(g *Graph, p []uint8, leftFrac float64, passes int) {
+	adj := func(v int32) []int32 { return g.Adj[g.XAdj[v]:g.XAdj[v+1]] }
+	fmPasses(g.VWt, p, leftFrac, passes, fmHooks{
+		gain: func(v int32) float64 {
+			ext, inn := 0.0, 0.0
+			for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
+				if p[g.Adj[j]] == p[v] {
+					inn += g.EWt[j]
+				} else {
+					ext += g.EWt[j]
+				}
+			}
+			return ext - inn
+		},
+		boundary: func(v int32) bool {
+			for _, u := range adj(v) {
+				if p[u] != p[v] {
+					return true
+				}
+			}
+			return false
+		},
+		move: func(v int32, _ uint8, touch func(u int32)) {
+			for _, u := range adj(v) {
+				touch(u)
+			}
+		},
+	})
+}
+
+// fmHooks adapt fmPasses to a graph or hypergraph. gain is the cut
+// reduction of moving v to the other side; boundary selects the
+// vertices a pass starts from; beginPass (optional) refreshes derived
+// state; move applies the side effects of v having just left side
+// from, calling touch on every vertex whose gain that may change.
+type fmHooks struct {
+	gain      func(v int32) float64
+	boundary  func(v int32) bool
+	beginPass func()
+	move      func(v int32, from uint8, touch func(u int32))
+}
+
+// fmPasses improves a bisection in place with FM passes: vertices move
 // to the other side in descending gain order (each at most once per
 // pass) subject to a weight balance constraint; the best prefix of the
 // move sequence is kept.
-func fmRefine(g *Graph, p []uint8, leftFrac float64, passes int) {
-	n := g.N()
-	total := g.TotalVWt()
-	target := total * leftFrac
+func fmPasses(vwt []float64, p []uint8, leftFrac float64, passes int, f fmHooks) {
+	n := len(vwt)
 	// Allowed deviation: 2% of total weight or the largest vertex,
 	// whichever is bigger (otherwise single heavy vertices jam).
-	maxVW := 0.0
-	for _, w := range g.VWt {
-		if w > maxVW {
-			maxVW = w
-		}
+	total, maxVW := 0.0, 0.0
+	for _, w := range vwt {
+		total += w
+		maxVW = max(maxVW, w)
 	}
-	tol := total * 0.02
-	if maxVW > tol {
-		tol = maxVW
-	}
-	gain := func(v int32) float64 {
-		ext, inn := 0.0, 0.0
-		for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
-			if p[g.Adj[j]] == p[v] {
-				inn += g.EWt[j]
-			} else {
-				ext += g.EWt[j]
-			}
-		}
-		return ext - inn
-	}
+	target := total * leftFrac
+	tol := max(total*0.02, maxVW)
 	leftW := 0.0
 	for v := 0; v < n; v++ {
 		if p[v] == 0 {
-			leftW += g.VWt[v]
+			leftW += vwt[v]
 		}
 	}
 	ver := make([]int64, n)
+	moved := make([]bool, n)
+	var h gainHeap
+	var seq []int32
+	touch := func(u int32) {
+		if !moved[u] {
+			ver[u]++
+			h.PushItem(gainItem{v: u, gain: f.gain(u), ver: ver[u]})
+		}
+	}
 	for pass := 0; pass < passes; pass++ {
-		var h gainHeap
-		moved := make([]bool, n)
-		// Seed with boundary vertices.
+		if f.beginPass != nil {
+			f.beginPass()
+		}
+		h, seq = h[:0], seq[:0]
+		clear(moved)
 		for v := int32(0); v < int32(n); v++ {
-			boundary := false
-			for j := g.XAdj[v]; j < g.XAdj[v+1]; j++ {
-				if p[g.Adj[j]] != p[v] {
-					boundary = true
-					break
-				}
-			}
-			if boundary {
-				h.PushItem(gainItem{v: v, gain: gain(v), ver: ver[v]})
+			if f.boundary(v) {
+				h.PushItem(gainItem{v: v, gain: f.gain(v), ver: ver[v]})
 			}
 		}
-		type moveRec struct {
-			v int32
-		}
-		var seq []moveRec
 		cum, best := 0.0, 0.0
 		bestLen := 0
 		for h.Len() > 0 {
@@ -223,39 +308,33 @@ func fmRefine(g *Graph, p []uint8, leftFrac float64, passes int) {
 				continue
 			}
 			// Balance check.
-			w := g.VWt[it.v]
 			newLeft := leftW
 			if p[it.v] == 0 {
-				newLeft -= w
+				newLeft -= vwt[it.v]
 			} else {
-				newLeft += w
+				newLeft += vwt[it.v]
 			}
 			if newLeft < target-tol || newLeft > target+tol {
 				continue
 			}
 			// Recompute gain (may be stale).
-			gv := gain(it.v)
+			gv := f.gain(it.v)
 			if gv < it.gain-1e-12 {
 				ver[it.v]++
 				h.PushItem(gainItem{v: it.v, gain: gv, ver: ver[it.v]})
 				continue
 			}
 			// Apply the move.
+			from := p[it.v]
 			p[it.v] ^= 1
 			leftW = newLeft
 			moved[it.v] = true
-			seq = append(seq, moveRec{v: it.v})
+			f.move(it.v, from, touch)
+			seq = append(seq, it.v)
 			cum += gv
 			if cum > best {
 				best = cum
 				bestLen = len(seq)
-			}
-			for j := g.XAdj[it.v]; j < g.XAdj[it.v+1]; j++ {
-				u := g.Adj[j]
-				if !moved[u] {
-					ver[u]++
-					h.PushItem(gainItem{v: u, gain: gain(u), ver: ver[u]})
-				}
 			}
 			if len(seq)-bestLen > 200 {
 				break // long negative tail; stop early
@@ -263,11 +342,11 @@ func fmRefine(g *Graph, p []uint8, leftFrac float64, passes int) {
 		}
 		// Roll back past the best prefix.
 		for i := len(seq) - 1; i >= bestLen; i-- {
-			v := seq[i].v
+			v := seq[i]
 			if p[v] == 0 {
-				leftW -= g.VWt[v]
+				leftW -= vwt[v]
 			} else {
-				leftW += g.VWt[v]
+				leftW += vwt[v]
 			}
 			p[v] ^= 1
 		}
@@ -284,12 +363,4 @@ func PartSizes(g *Graph, part []int32, nparts int) []float64 {
 		sizes[part[v]] += g.VWt[v]
 	}
 	return sizes
-}
-
-// sortedCopy is a small test helper shared across files.
-func sortedCopy(v []int32) []int32 {
-	out := make([]int32, len(v))
-	copy(out, v)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
