@@ -32,9 +32,9 @@ bench-go:
 # One-iteration compile-and-run of every benchmark — catches bit-rotted
 # benchmark code without paying for a measurement. Covers the root
 # paper-experiment benchmarks, the tag store, fields, the mesh core,
-# pcu and the partitioners (~7 s).
+# migration, pcu and the partitioners (~7 s).
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime=1x . ./internal/ds/ ./internal/field/ ./internal/mesh/ ./internal/pcu/... ./internal/zpart/
+	$(GO) test -run '^$$' -bench=. -benchtime=1x . ./internal/ds/ ./internal/field/ ./internal/mesh/ ./internal/partition/ ./internal/pcu/... ./internal/zpart/
 
 race:
 	$(GO) test -race ./internal/...

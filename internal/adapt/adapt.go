@@ -70,7 +70,8 @@ func SplitEdge(m *mesh.Mesh, edge mesh.Ent, tr Transfer) mesh.Ent {
 		panic(fmt.Sprintf("adapt: SplitEdge of %v", edge))
 	}
 	d := m.Dim()
-	ab := m.Down(edge)
+	var ends [2]mesh.Ent
+	ab := m.DownTo(edge, ends[:0])
 	a, b := ab[0], ab[1]
 	cls := m.Classification(edge)
 	p := vec.Mid(m.Coord(a), m.Coord(b))

@@ -225,6 +225,7 @@ func CollapseEdge(m *mesh.Mesh, edge, removed, kept mesh.Ent, tr Transfer) {
 // part-interior cavities are touched.
 func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 	collapses := 0
+	var ends [2]mesh.Ent
 	for round := 0; round < maxRounds; round++ {
 		type cand struct {
 			e   mesh.Ent
@@ -240,7 +241,7 @@ func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 			// so coarsening across a sharp size gradient cannot undo a
 			// split that the gradient's fine side demanded — otherwise
 			// refine and coarsen oscillate forever at the interface.
-			vs := m.Down(e)
+			vs := m.DownTo(e, ends[:0])
 			h := size(m.Centroid(e))
 			if ha := size(m.Coord(vs[0])); ha < h {
 				h = ha
@@ -264,7 +265,7 @@ func Coarsen(m *mesh.Mesh, size SizeField, tr Transfer, maxRounds int) int {
 			if !m.Alive(e) {
 				continue
 			}
-			vs := m.Down(e)
+			vs := m.DownTo(e, ends[:0])
 			switch {
 			case CanCollapse(m, e, vs[0], vs[1]):
 				CollapseEdge(m, e, vs[0], vs[1], tr)

@@ -20,7 +20,8 @@ func NewFieldTransfer(names ...string) *FieldTransfer {
 
 // EdgeSplit implements Transfer by linear interpolation.
 func (ft *FieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
-	vs := m.Down(edge)
+	var ends [2]mesh.Ent
+	vs := m.DownTo(edge, ends[:0])
 	for _, name := range ft.Names {
 		f := field.Find(m, name, field.Linear)
 		if f == nil {
@@ -81,7 +82,8 @@ func (qt *QuadraticFieldTransfer) stash(a, b mesh.Ent, name string, vals []float
 // EdgeSplit implements Transfer: it computes all child node values
 // while the parent entities are still alive.
 func (qt *QuadraticFieldTransfer) EdgeSplit(m *mesh.Mesh, edge, mid mesh.Ent) {
-	vs := m.Down(edge)
+	var ends [2]mesh.Ent
+	vs := m.DownTo(edge, ends[:0])
 	a, b := vs[0], vs[1]
 	d := m.Dim()
 	var els, verts []mesh.Ent

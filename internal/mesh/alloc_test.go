@@ -1,6 +1,7 @@
 package mesh_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/fastmath/pumi-go/internal/gmi"
@@ -78,5 +79,52 @@ func TestAdjacentToZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { buf = m.Verts(tet) }); n > 1 {
 		t.Errorf("Verts: %v allocs/op, want at most 1", n)
+	}
+}
+
+func TestMeasureZeroAlloc(t *testing.T) {
+	allocGate(t)
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 2, 2, 2)
+	for _, ty := range []mesh.Type{mesh.Edge, mesh.Tri, mesh.Tet} {
+		e := firstOf(t, m, ty)
+		var got float64
+		if n := testing.AllocsPerRun(100, func() { got = m.Measure(e) }); n != 0 {
+			t.Errorf("Measure(%v): %v allocs/op, want 0", ty, n)
+		}
+		if got <= 0 {
+			t.Errorf("Measure(%v) = %v, want > 0", ty, got)
+		}
+	}
+}
+
+// TestAppendResidenceZeroAlloc pins the residence query into a caller
+// buffer and checks it against Residence: ascending, this part merged
+// in wherever it falls among the peers.
+func TestAppendResidenceZeroAlloc(t *testing.T) {
+	allocGate(t)
+	m := meshgen.Box3D(gmi.Box(1, 1, 1), 1, 1, 1)
+	m.SetPart(5)
+	v := firstOf(t, m, mesh.Vertex)
+	for _, p := range []int32{9, 2, 7} {
+		m.SetRemote(v, p, v)
+	}
+	buf := make([]int32, 0, 8)
+	if n := testing.AllocsPerRun(100, func() { buf = m.AppendResidence(v, buf[:0]) }); n != 0 {
+		t.Errorf("AppendResidence: %v allocs/op, want 0", n)
+	}
+	want := []int32{2, 5, 7, 9}
+	if !slices.Equal(buf, want) || !slices.Equal(m.Residence(v).Values(), want) {
+		t.Errorf("residence %v / %v, want %v", buf, m.Residence(v).Values(), want)
+	}
+	for _, part := range []int32{0, 10} {
+		m.SetPart(part)
+		got := m.AppendResidence(v, nil)
+		if !slices.IsSorted(got) || len(got) != 4 || !slices.Contains(got, part) {
+			t.Errorf("part %d: residence %v", part, got)
+		}
+	}
+	e := firstOf(t, m, mesh.Edge)
+	if got := m.AppendResidence(e, buf[:0]); !slices.Equal(got, []int32{10}) {
+		t.Errorf("unshared residence %v, want [10]", got)
 	}
 }

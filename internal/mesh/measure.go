@@ -29,7 +29,7 @@ func (m *Mesh) Measure(e Ent) float64 {
 	case Vertex:
 		return 0
 	case Edge:
-		d := m.Down(e)
+		d := m.down(e)
 		return m.Coord(d[0]).Dist(m.Coord(d[1]))
 	case Tri:
 		var buf [3]Ent

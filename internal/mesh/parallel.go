@@ -138,14 +138,31 @@ func (m *Mesh) IsShared(e Ent) bool {
 }
 
 // Residence returns the residence part set of e: the ids of all parts
-// where e exists — this part plus all remote-copy parts.
+// where e exists — this part plus all remote-copy parts. It allocates
+// the set; AppendResidence is the allocation-free form.
 func (m *Mesh) Residence(e Ent) ds.IntSet {
-	s := ds.NewIntSet(m.part)
+	var buf [8]int32
+	return ds.NewIntSet(m.AppendResidence(e, buf[:0])...)
+}
+
+// AppendResidence appends e's residence part set to dst in ascending
+// order and returns it: this part merged into the part-sorted link
+// chain, so nothing is sorted or allocated beyond dst's growth.
+func (m *Mesh) AppendResidence(e Ent, dst []int32) []int32 {
+	self := false
 	ls := &m.links[e.T]
 	for cur := ls.headOf(e.I); cur >= 0; cur = ls.next[cur] {
-		s.Add(ls.part[cur])
+		p := ls.part[cur]
+		if !self && p > m.part {
+			dst = append(dst, m.part)
+			self = true
+		}
+		dst = append(dst, p)
 	}
-	return s
+	if !self {
+		dst = append(dst, m.part)
+	}
+	return dst
 }
 
 // Owner returns the owning part of e: the part with the right to

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/pcu"
 )
@@ -57,6 +58,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 	}
 
 	// Local sweeps.
+	var res []int32 // residence scratch
 	for _, m := range ms {
 		record(m.CheckConsistency())
 		for el := range m.Elements() {
@@ -80,7 +82,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 				if !m.HasUp(e) {
 					record(fmt.Errorf("mesh: shared %v on part %d bounds nothing (orphan boundary entity)", e, m.Part()))
 				}
-				if !m.Residence(e).Has(m.Owner(e)) {
+				if res = m.AppendResidence(e, res[:0]); !slices.Contains(res, m.Owner(e)) {
 					record(fmt.Errorf("mesh: owner %d of shared %v on part %d outside residence set",
 						m.Owner(e), e, m.Part()))
 				}
@@ -93,7 +95,7 @@ func VerifyParallel(c *pcu.Ctx, ms ...*Mesh) error {
 					}
 					// Closure: everything bounding a shared entity is
 					// shared with at least the same parts.
-					for _, de := range m.Down(e) {
+					for _, de := range m.down(e) {
 						if _, ok := m.RemoteCopy(de, rc.Part); !ok {
 							record(fmt.Errorf("mesh: %v shared with part %d but its bounding %v is not",
 								e, rc.Part, de))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -94,50 +95,93 @@ func readManifestFile(dir, name string) (*checkpointManifest, error) {
 // blob (self-delimiting, since the mesh reader buffers), then the gid /
 // owner / residence record of every entity in iteration order — the
 // same order the mesh blob stores them, so load realigns by position.
+// Scalars are little-endian, appended straight to the output slice.
 func encodePart(p *partition.Part) ([]byte, error) {
 	m := p.M
-	var buf bytes.Buffer
-	buf.WriteString(partMagic)
 	var blob bytes.Buffer
 	if err := Write(&blob, m); err != nil {
 		return nil, err
 	}
-	binary.Write(&buf, binary.LittleEndian, uint64(blob.Len()))
-	buf.Write(blob.Bytes())
-	binary.Write(&buf, binary.LittleEndian, m.Part())
-	binary.Write(&buf, binary.LittleEndian, p.FreshCounter())
+	n := 0
 	for d := 0; d <= m.Dim(); d++ {
-		binary.Write(&buf, binary.LittleEndian, uint32(m.Count(d)))
+		n += m.Count(d)
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, len(partMagic)+8+blob.Len()+12+4*(m.Dim()+1)+20*n)
+	buf = append(buf, partMagic...)
+	buf = le.AppendUint64(buf, uint64(blob.Len()))
+	buf = append(buf, blob.Bytes()...)
+	buf = le.AppendUint32(buf, uint32(m.Part()))
+	buf = le.AppendUint64(buf, uint64(p.FreshCounter()))
+	var res []int32 // residence scratch
+	for d := 0; d <= m.Dim(); d++ {
+		buf = le.AppendUint32(buf, uint32(m.Count(d)))
 		for e := range m.Iter(d) {
-			binary.Write(&buf, binary.LittleEndian, p.Gid(e))
-			binary.Write(&buf, binary.LittleEndian, m.Owner(e))
-			res := m.Residence(e).Values()
-			binary.Write(&buf, binary.LittleEndian, uint32(len(res)))
-			binary.Write(&buf, binary.LittleEndian, res)
+			buf = le.AppendUint64(buf, uint64(p.Gid(e)))
+			buf = le.AppendUint32(buf, uint32(m.Owner(e)))
+			res = m.AppendResidence(e, res[:0])
+			buf = le.AppendUint32(buf, uint32(len(res)))
+			for _, v := range res {
+				buf = le.AppendUint32(buf, uint32(v))
+			}
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
+}
+
+// partReader consumes a part file front to back with io.ReadFull's
+// error contract: io.EOF when nothing is left, io.ErrUnexpectedEOF
+// (after consuming the rest) when a value is cut short.
+type partReader struct{ b []byte }
+
+func (r *partReader) next(n int) ([]byte, error) {
+	switch {
+	case len(r.b) == 0:
+		return nil, io.EOF
+	case len(r.b) < n:
+		r.b = r.b[len(r.b):]
+		return nil, io.ErrUnexpectedEOF
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v, nil
+}
+
+func (r *partReader) u32() (uint32, error) {
+	v, err := r.next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(v), nil
+}
+
+func (r *partReader) u64() (uint64, error) {
+	v, err := r.next(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(v), nil
 }
 
 // decodePart rebuilds one part from its file contents, returning the
 // multi-part residence sets for partition.Assemble.
 func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.Part, map[mesh.Ent][]int32, error) {
-	r := bytes.NewReader(data)
 	head := make([]byte, len(partMagic))
-	if _, err := r.Read(head); err != nil || string(head) != partMagic {
+	r := &partReader{b: data[copy(head, data):]}
+	if string(head) != partMagic {
 		return nil, nil, fmt.Errorf("meshio: part %d: bad part-file magic %q", pid, head)
 	}
-	var blobLen uint64
-	if err := binary.Read(r, binary.LittleEndian, &blobLen); err != nil {
+	blobLen, err := r.u64()
+	if err != nil {
 		return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
 	}
-	if blobLen > uint64(r.Len()) {
-		return nil, nil, fmt.Errorf("meshio: part %d: mesh blob of %d bytes but only %d remain", pid, blobLen, r.Len())
+	if blobLen > uint64(len(r.b)) {
+		return nil, nil, fmt.Errorf("meshio: part %d: mesh blob of %d bytes but only %d remain", pid, blobLen, len(r.b))
 	}
-	blob := make([]byte, blobLen)
-	if _, err := r.Read(blob); err != nil {
-		return nil, nil, err
+	if len(r.b) == 0 {
+		return nil, nil, io.EOF
 	}
+	blob, _ := r.next(int(blobLen))
 	m, err := Read(bytes.NewReader(blob), model)
 	if err != nil {
 		return nil, nil, fmt.Errorf("meshio: part %d: %w", pid, err)
@@ -145,56 +189,57 @@ func decodePart(data []byte, pid int32, model *gmi.Model, dim int) (*partition.P
 	if m.Dim() != dim {
 		return nil, nil, fmt.Errorf("meshio: part %d has dimension %d, manifest says %d", pid, m.Dim(), dim)
 	}
-	var storedPid int32
-	var counter int64
-	if err := binary.Read(r, binary.LittleEndian, &storedPid); err != nil {
+	storedPid, err := r.u32()
+	if err != nil {
 		return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
 	}
-	if storedPid != pid {
-		return nil, nil, fmt.Errorf("meshio: file for part %d stores part id %d", pid, storedPid)
+	if int32(storedPid) != pid {
+		return nil, nil, fmt.Errorf("meshio: file for part %d stores part id %d", pid, int32(storedPid))
 	}
-	if err := binary.Read(r, binary.LittleEndian, &counter); err != nil {
+	counter, err := r.u64()
+	if err != nil {
 		return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
 	}
 	m.SetPart(pid)
 	p := partition.NewPart(m)
-	p.RestoreFreshCounter(counter)
+	p.RestoreFreshCounter(int64(counter))
 	res := map[mesh.Ent][]int32{}
 	for d := 0; d <= dim; d++ {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		n, err := r.u32()
+		if err != nil {
 			return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
 		}
 		if int(n) != m.Count(d) {
 			return nil, nil, fmt.Errorf("meshio: part %d: %d dim-%d records for %d entities", pid, n, d, m.Count(d))
 		}
 		for e := range m.Iter(d) {
-			var gid int64
-			var owner int32
-			var nres uint32
-			if err := binary.Read(r, binary.LittleEndian, &gid); err != nil {
+			gid, err := r.u64()
+			if err != nil {
 				return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
 			}
-			binary.Read(r, binary.LittleEndian, &owner)
-			if err := binary.Read(r, binary.LittleEndian, &nres); err != nil {
+			// A cut-short owner surfaces as the residence count's error.
+			owner, _ := r.u32()
+			nres, err := r.u32()
+			if err != nil {
 				return nil, nil, fmt.Errorf("meshio: part %d: truncated part file: %w", pid, err)
 			}
-			if nres == 0 || uint64(nres)*4 > uint64(r.Len()) {
+			if nres == 0 || uint64(nres)*4 > uint64(len(r.b)) {
 				return nil, nil, fmt.Errorf("meshio: part %d: corrupt residence count %d", pid, nres)
 			}
-			vals := make([]int32, nres)
-			if err := binary.Read(r, binary.LittleEndian, &vals); err != nil {
-				return nil, nil, err
-			}
-			p.RestoreGid(e, gid)
-			m.SetOwner(e, owner)
-			if len(vals) > 1 {
+			raw, _ := r.next(4 * int(nres))
+			p.RestoreGid(e, int64(gid))
+			m.SetOwner(e, int32(owner))
+			if nres > 1 {
+				vals := make([]int32, nres)
+				for i := range vals {
+					vals[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+				}
 				res[e] = vals
 			}
 		}
 	}
-	if r.Len() != 0 {
-		return nil, nil, fmt.Errorf("meshio: part %d: %d trailing bytes", pid, r.Len())
+	if len(r.b) != 0 {
+		return nil, nil, fmt.Errorf("meshio: part %d: %d trailing bytes", pid, len(r.b))
 	}
 	return p, res, nil
 }

@@ -176,3 +176,46 @@ func TestTryMigrateCleanPathUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTryMigrateUnknownGidAborts: a residence contribution naming a gid
+// the receiving part does not hold is a recoverable staging failure.
+// One shared copy's gid is corrupted before the move-everything
+// migration, so the peer's announcement for it cannot be resolved:
+// every rank must get ErrMigrateAborted (not a world teardown), and
+// once the gid is restored the untouched source mesh verifies with
+// unchanged counts.
+func TestTryMigrateUnknownGidAborts(t *testing.T) {
+	_, err := pcu.RunOpt(2, pcu.Options{Topo: hwtopo.Cluster(2, 1), StallTimeout: 30 * time.Second}, func(ctx *pcu.Ctx) error {
+		dm, plans := abortSetup(ctx)
+		before := entCounts(dm)
+		part := dm.Parts[0]
+		victim := mesh.NilEnt
+		if ctx.Rank() == 1 {
+			for v := range part.M.Iter(0) {
+				if part.M.IsShared(v) {
+					victim = v
+					break
+				}
+			}
+		}
+		var gid int64
+		if victim.Ok() {
+			gid = part.Gid(victim)
+			part.setGid(victim, gid|1<<60)
+		}
+		err := TryMigrate(dm, plans)
+		if victim.Ok() {
+			part.setGid(victim, gid)
+		}
+		if !errors.Is(err, ErrMigrateAborted) {
+			return fmt.Errorf("rank %d: want ErrMigrateAborted, got %v", ctx.Rank(), err)
+		}
+		if got := entCounts(dm); got != before {
+			return fmt.Errorf("rank %d: entity counts changed across abort: %v -> %v", ctx.Rank(), before, got)
+		}
+		return Verify(dm)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

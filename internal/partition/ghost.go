@@ -146,6 +146,7 @@ func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
 		}
 	}
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
+	var down [8]mesh.Ent
 	for dd := 0; dd <= d; dd++ {
 		var level []mesh.Ent
 		if dd == d {
@@ -172,9 +173,8 @@ func packGhosts(b *pcu.Buffer, part *Part, els []mesh.Ent, d int) {
 				b.Float64(p.Y)
 				b.Float64(p.Z)
 			} else {
-				down := m.Down(e)
 				gids = gids[:0]
-				for _, de := range down {
+				for _, de := range m.DownTo(e, down[:0]) {
 					gids = append(gids, part.Gid(de))
 				}
 				b.Int64s(gids)

@@ -1,13 +1,13 @@
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
-	"github.com/fastmath/pumi-go/internal/ds"
 	"github.com/fastmath/pumi-go/internal/gmi"
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
@@ -114,11 +114,17 @@ func Migrate(dm *DMesh, plans []Plan) {
 // The steps are ordered stage-validate-commit: residence staging and
 // closure shipment only ever add entities, and each is followed by a
 // collective abort vote. A failure before commit (a corrupt off-node
-// frame, a closure that failed validation) rolls back the staged
-// entities on every rank and returns an error wrapping
+// frame, a contribution or closure that failed validation) rolls back
+// the staged entities on every rank and returns an error wrapping
 // ErrMigrateAborted, leaving the source DMesh Verify-intact. Only after
 // the votes pass does TryMigrate destroy migrated elements and restitch
 // remote links.
+//
+// The bookkeeping is one migTable per local part, sized to the move:
+// the cost scales with the moved elements and their closures, not with
+// the mesh, so ParMA's many small migrations stay cheap. Every walk
+// that creates, destroys or relinks entities runs in Ent.Less order,
+// so the result depends only on the mesh and the plans.
 func TryMigrate(dm *DMesh, plans []Plan) error {
 	t := dm.Ctx.Counters().Start("partition.migrate")
 	defer t.Stop()
@@ -136,60 +142,49 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 		}
 	}
 
-	// Normalize plans: drop self-moves, validate.
-	dests := make([]Plan, len(dm.Parts))
+	// Step 1: local residence contributions, computed only for the
+	// entities bounding moving elements (migration cost must scale
+	// with the move, not the mesh — ParMA runs many small migrations).
+	// contrib(e) = destinations of ALL local elements above e: the
+	// destinations of the moving ones, plus this part if one stays.
+	tabs := make([]*migTable, len(dm.Parts))
+	var keys []uint64 // sortSlots scratch
+	var ups []mesh.Ent
 	for i, part := range dm.Parts {
-		dests[i] = Plan{}
 		var plan Plan
 		if i < len(plans) {
 			plan = plans[i]
 		}
-		for el, q := range plan {
-			if int(q) < 0 || int(q) >= dm.NParts() {
-				panic(fmt.Sprintf("partition: plan sends %v to invalid part %d", el, q))
-			}
-			if el.Dim() != d {
-				panic(fmt.Sprintf("partition: plan contains non-element %v", el))
-			}
-			if q != part.M.Part() {
-				dests[i][el] = q
-			}
-		}
-	}
-
-	// Step 1: local residence contributions, computed only for the
-	// entities adjacent to moving elements (migration cost must scale
-	// with the move, not the mesh — ParMA runs many small migrations).
-	// contrib(e) = destinations of ALL local elements adjacent to e.
-	contribs := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
-	var adj, ups []mesh.Ent // adjacency scratch reused across entities
-	localContrib := func(i int, m *mesh.Mesh, e mesh.Ent) ds.IntSet {
-		var s ds.IntSet
-		self := m.Part()
-		ups = m.AdjacentTo(e, d, ups[:0])
-		for _, up := range ups {
-			if dst, moving := dests[i][up]; moving {
-				s.Add(dst)
-			} else {
-				s.Add(self)
-			}
-		}
-		return s
-	}
-	for i, part := range dm.Parts {
+		tb := newMigTable(normalizePlan(dm, part.M.Part(), plan))
+		tabs[i] = tb
 		m := part.M
-		contrib := map[mesh.Ent]ds.IntSet{}
-		for el := range dests[i] {
-			for dd := 0; dd < d; dd++ {
-				adj = m.AdjacentTo(el, dd, adj[:0])
-				for _, e := range adj {
-					if _, done := contrib[e]; !done {
-						contrib[e] = localContrib(i, m, e)
-					}
+		for _, mv := range tb.movers {
+			tb.addClosure(m, mv.el, mv.dest)
+		}
+		keys = tb.sortSlots(tb.closure, keys)
+		// Dimensions descending, so every closure entity above e has
+		// its stays flag set before e reads it.
+		for k := len(tb.closure) - 1; k >= 0; k-- {
+			s := tb.closure[k]
+			ups = m.UpTo(tb.ents[s], ups[:0])
+			for _, u := range ups {
+				// An entity outside the table bounds no moving
+				// element, so every element above it stays (in a
+				// valid mesh every entity bounds an element). Moving
+				// elements are the table's only elements.
+				j := tb.find(u)
+				if j < 0 || (u.Dim() < d && tb.stays[j]) {
+					tb.stays[s] = true
+					break
 				}
 			}
+			if tb.stays[s] {
+				tb.addRes(s, m.Part())
+			}
+			for cur := tb.dests[s]; cur >= 0; cur = tb.next[cur] {
+				tb.addRes(s, tb.part[cur])
+			}
 		}
-		contribs[i] = contrib
 	}
 
 	// Step 2: exchange contributions across current residence parts of
@@ -198,74 +193,62 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// that received an announcement without having sent one replies
 	// with its own contribution to every copy, so all copies end up
 	// with the complete new residence set.
-	newRes := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
-	for i := range newRes {
-		newRes[i] = map[mesh.Ent]ds.IntSet{}
-		for e, s := range contribs[i] {
-			newRes[i][e] = s.Clone()
-		}
-	}
-	sendContrib := func(ph *phase, part *Part, e mesh.Ent, s ds.IntSet) {
+	var vals, rps []int32 // residence and remote-part scratch
+	sendContrib := func(ph *phase, part *Part, tb *migTable, s int32) {
 		m := part.M
-		for _, r := range m.RemoteParts(e) {
+		e := tb.ents[s]
+		vals = tb.appendRes(s, vals[:0])
+		rps = m.AppendRemoteParts(e, rps[:0])
+		for _, r := range rps {
 			b := ph.to(m.Part(), r)
 			b.Byte(byte(e.Dim()))
 			b.Int64(part.Gid(e))
-			b.Int32s(s.Values())
+			b.Int32s(vals)
 		}
 	}
-	var localErr error
 	ph := dm.beginPhase()
 	for i, part := range dm.Parts {
-		m := part.M
-		ents := sortedEnts(contribs[i])
-		for _, e := range ents {
-			if m.IsShared(e) {
-				sendContrib(ph, part, e, contribs[i][e])
+		tb := tabs[i]
+		for _, s := range tb.closure {
+			if part.M.IsShared(tb.ents[s]) {
+				sendContrib(ph, part, tb, s)
 			}
 		}
 	}
-	replied := make([]map[mesh.Ent]bool, len(dm.Parts))
-	for i := range replied {
-		replied[i] = map[mesh.Ent]bool{}
-	}
-	applyContrib := func(msg partMsg) []mesh.Ent {
+	// applyContrib folds one message into the residence sets; entities
+	// first heard of here are appended to fresh when it is non-nil.
+	applyContrib := func(msg partMsg, fresh [][]int32) {
 		part := dm.LocalPart(msg.To)
 		li := dm.localIndex(msg.To)
-		var fresh []mesh.Ent
+		tb := tabs[li]
 		for !msg.Data.Empty() {
 			dd := int(msg.Data.Byte())
 			gid := msg.Data.Int64()
-			vals := msg.Data.Int32s()
+			vals = msg.Data.AppendInt32s(vals[:0])
 			e, ok := part.FindGid(dd, gid)
 			if !ok {
-				panic(fmt.Sprintf("partition: contribution for unknown gid %d dim %d on part %d",
-					gid, dd, msg.To))
+				// Recoverable: nothing is staged yet, the vote aborts.
+				panic(migrateLocalError{fmt.Errorf(
+					"partition: contribution for unknown gid %d dim %d on part %d", gid, dd, msg.To)})
 			}
-			s, seen := newRes[li][e]
-			if !seen {
-				// First word of this entity here: fold in the local
-				// contribution and remember to reply in round two.
-				s = localContrib(li, part.M, e)
-				fresh = append(fresh, e)
-			}
-			for _, v := range vals {
-				s.Add(v)
-			}
-			newRes[li][e] = s
-		}
-		return fresh
-	}
-	roundTwo := make([][]mesh.Ent, len(dm.Parts))
-	localErr = catchStage(func() {
-		for _, msg := range ph.exchange() {
-			li := dm.localIndex(msg.To)
-			for _, e := range applyContrib(msg) {
-				if !replied[li][e] {
-					replied[li][e] = true
-					roundTwo[li] = append(roundTwo[li], e)
+			s, isNew := tb.slot(e)
+			if isNew {
+				// e is outside the local closure, so no moving element
+				// bounds it: its local contribution is this part alone.
+				tb.addRes(s, part.M.Part())
+				if fresh != nil {
+					fresh[li] = append(fresh[li], s)
 				}
 			}
+			for _, v := range vals {
+				tb.addRes(s, v)
+			}
+		}
+	}
+	roundTwo := make([][]int32, len(dm.Parts))
+	localErr := catchStage(func() {
+		for _, msg := range ph.exchange() {
+			applyContrib(msg, roundTwo)
 		}
 	})
 	// A rank whose round-one decode failed still takes part in the
@@ -274,14 +257,14 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	ph = dm.beginPhase()
 	if localErr == nil {
 		for i, part := range dm.Parts {
-			for _, e := range roundTwo[i] {
-				sendContrib(ph, part, e, newRes[i][e])
+			for _, s := range roundTwo[i] {
+				sendContrib(ph, part, tabs[i], s)
 			}
 		}
 	}
 	if err := catchStage(func() {
 		for _, msg := range ph.exchange() {
-			applyContrib(msg)
+			applyContrib(msg, nil)
 		}
 	}); localErr == nil {
 		localErr = err
@@ -298,31 +281,13 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// destination part.
 	ph = dm.beginPhase()
 	for i, part := range dm.Parts {
-		m := part.M
-		byDest := map[int32][]mesh.Ent{}
-		for el, q := range dests[i] {
-			byDest[q] = append(byDest[q], el)
-		}
-		qs := make([]int32, 0, len(byDest))
-		for q := range byDest {
-			qs = append(qs, q)
-		}
-		sort.Slice(qs, func(a, b int) bool { return qs[a] < qs[b] })
-		for _, q := range qs {
-			els := byDest[q]
-			sort.Slice(els, func(a, b int) bool { return els[a].Less(els[b]) })
-			packElements(ph.to(m.Part(), q), dm, i, q, els, newRes[i])
-		}
-	}
-	received := make([]map[mesh.Ent]ds.IntSet, len(dm.Parts))
-	for i := range received {
-		received[i] = map[mesh.Ent]ds.IntSet{}
+		packMoves(ph, part, tabs[i], d)
 	}
 	created := make([][]mesh.Ent, len(dm.Parts))
 	localErr = catchStage(func() {
 		for _, msg := range ph.exchange() {
 			li := dm.localIndex(msg.To)
-			unpackElements(dm, msg, received[li], &created[li])
+			unpackElements(dm, msg, tabs[li], &created[li])
 		}
 	})
 	if err := voteAbort(dm, localErr, "shipping element closures"); err != nil {
@@ -341,34 +306,18 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// protocol, so sanctioned for the sanitizer.
 	defer dm.suspendGuards()()
 
-	// Step 4: remove migrated elements and orphaned closure entities.
+	// Step 4: remove migrated elements, then orphaned closure entities
+	// from the top dimension down.
 	for i, part := range dm.Parts {
 		m := part.M
-		affected := map[mesh.Ent]bool{}
-		var els []mesh.Ent
-		for el := range dests[i] {
-			els = append(els, el)
+		tb := tabs[i]
+		for _, mv := range tb.movers {
+			m.Destroy(mv.el)
 		}
-		sort.Slice(els, func(a, b int) bool { return els[a].Less(els[b]) })
-		for _, el := range els {
-			for dd := 0; dd < d; dd++ {
-				adj = m.AdjacentTo(el, dd, adj[:0])
-				for _, e := range adj {
-					affected[e] = true
-				}
-			}
-			m.Destroy(el)
-		}
+		lv := tb.levels(tb.closure)
 		for dd := d - 1; dd >= 0; dd-- {
-			var level []mesh.Ent
-			for e := range affected {
-				if e.Dim() == dd {
-					level = append(level, e)
-				}
-			}
-			sort.Slice(level, func(a, b int) bool { return level[a].Less(level[b]) })
-			for _, e := range level {
-				if m.Alive(e) && !m.HasUp(e) {
+			for _, s := range tb.closure[lv[dd]:lv[dd+1]] {
+				if e := tb.ents[s]; m.Alive(e) && !m.HasUp(e) {
 					m.Destroy(e)
 				}
 			}
@@ -379,48 +328,42 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	// changed. Received entities always restitch.
 	ph = dm.beginPhase()
 	type fix struct {
-		e   mesh.Ent
-		res ds.IntSet
+		e     mesh.Ent
+		owner int32
 	}
 	fixes := make([][]fix, len(dm.Parts))
+	var cur []int32 // current residence scratch
 	for i, part := range dm.Parts {
 		m := part.M
 		self := m.Part()
-		// Merge retained-entity residence changes and received entities.
-		cand := map[mesh.Ent]ds.IntSet{}
-		for e, s := range newRes[i] {
-			if m.Alive(e) {
-				cand[e] = s
+		tb := tabs[i]
+		// Slots past the movers and the closure are the entities first
+		// heard of in step 2 or received in step 3.
+		n1 := len(tb.movers) + len(tb.closure)
+		later := make([]int32, 0, len(tb.ents)-n1)
+		for s := n1; s < len(tb.ents); s++ {
+			later = append(later, int32(s))
+		}
+		keys = tb.sortSlots(later, keys)
+		restitch := func(s int32) {
+			e := tb.ents[s]
+			if !m.Alive(e) {
+				return
 			}
-		}
-		for e, s := range received[i] {
-			if m.Alive(e) {
-				merged := s.Clone()
-				if prior, ok := cand[e]; ok {
-					merged = merged.Union(prior)
-				}
-				cand[e] = merged
-			}
-		}
-		var ents []mesh.Ent
-		for e := range cand {
-			ents = append(ents, e)
-		}
-		sort.Slice(ents, func(a, b int) bool { return ents[a].Less(ents[b]) })
-		for _, e := range ents {
-			res := cand[e]
 			// Restitch exactly when the residence set changed. This
-			// decision is symmetric across all copies: newRes is
-			// globally consistent and pre-migration remote links are
-			// symmetric, so either every copy restitches or none does.
-			// A freshly created copy always restitches (its local
+			// decision is symmetric across all copies: the staged sets
+			// are globally consistent and pre-migration remote links
+			// are symmetric, so either every copy restitches or none
+			// does. A freshly created copy always restitches (its local
 			// residence starts as just this part).
-			if res.Equal(m.Residence(e)) {
-				continue
+			vals = tb.appendRes(s, vals[:0])
+			cur = m.AppendResidence(e, cur[:0])
+			if slices.Equal(vals, cur) {
+				return
 			}
 			m.ClearRemotes(e)
-			fixes[i] = append(fixes[i], fix{e: e, res: res})
-			for _, q := range res.Values() {
+			fixes[i] = append(fixes[i], fix{e: e, owner: vals[0]})
+			for _, q := range vals {
 				if q == self {
 					continue
 				}
@@ -429,6 +372,17 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 				b.Int64(part.Gid(e))
 				b.Byte(byte(e.T))
 				b.Int32(e.I)
+			}
+		}
+		// Merge the two entity-sorted runs (a slot is in exactly one).
+		a, b := tb.closure, later
+		for len(a) > 0 || len(b) > 0 {
+			if len(b) == 0 || (len(a) > 0 && tb.ents[a[0]].Less(tb.ents[b[0]])) {
+				restitch(a[0])
+				a = a[1:]
+			} else {
+				restitch(b[0])
+				b = b[1:]
 			}
 		}
 	}
@@ -449,12 +403,12 @@ func TryMigrate(dm *DMesh, plans []Plan) error {
 	}
 	for i, part := range dm.Parts {
 		for _, f := range fixes[i] {
-			part.M.SetOwner(f.e, f.res.Min())
+			part.M.SetOwner(f.e, f.owner)
 		}
 	}
 	var totalMoved int64
-	for i := range dests {
-		totalMoved += int64(len(dests[i]))
+	for _, tb := range tabs {
+		totalMoved += int64(len(tb.movers))
 	}
 	dm.Ctx.Counters().Add("partition.migrated-elements", totalMoved)
 	tr.Point("migrate.moved-elements", totalMoved)
@@ -465,91 +419,145 @@ func (dm *DMesh) localIndex(part int32) int {
 	return int(part) - dm.Ctx.Rank()*dm.K
 }
 
-// sortedEnts returns the map's keys in deterministic entity order.
-func sortedEnts(m map[mesh.Ent]ds.IntSet) []mesh.Ent {
-	out := make([]mesh.Ent, 0, len(m))
-	for e := range m {
-		out = append(out, e)
+// normalizePlan validates one part's plan and returns its moves,
+// element-sorted, without self-moves.
+func normalizePlan(dm *DMesh, self int32, plan Plan) []mover {
+	movers := make([]mover, 0, len(plan))
+	for el, q := range plan {
+		if int(q) < 0 || int(q) >= dm.NParts() {
+			panic(fmt.Sprintf("partition: plan sends %v to invalid part %d", el, q))
+		}
+		if el.Dim() != dm.Dim {
+			panic(fmt.Sprintf("partition: plan contains non-element %v", el))
+		}
+		if q != self {
+			movers = append(movers, mover{el: el, dest: q})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	slices.SortFunc(movers, func(a, b mover) int { return cmp.Compare(entKey(a.el), entKey(b.el)) })
+	return movers
 }
 
-// packElements encodes the closure of the given elements plus the
-// elements themselves into b, dimension by dimension.
-func packElements(b *pcu.Buffer, dm *DMesh, partIdx int, dest int32, els []mesh.Ent, res map[mesh.Ent]ds.IntSet) {
-	part := dm.Parts[partIdx]
-	m := part.M
-	d := dm.Dim
-	movable := writeTagTable(b, m)
-	closure := map[mesh.Ent]bool{}
-	var adj []mesh.Ent
-	for _, el := range els {
-		for dd := 0; dd < d; dd++ {
-			adj = m.AdjacentTo(el, dd, adj[:0])
-			for _, e := range adj {
-				closure[e] = true
-			}
+// packMoves writes one part's outgoing closures, one message per
+// destination in ascending part order. An entity goes to destination q
+// exactly when a moving element above it does — when q is among its
+// local destinations — so one pass over the sorted closure buckets it
+// per destination, already in the per-level order packElements writes.
+func packMoves(ph *phase, part *Part, tb *migTable, d int) {
+	if len(tb.movers) == 0 {
+		return
+	}
+	// Moves grouped by destination, element order kept within a group.
+	byDest := slices.Clone(tb.movers)
+	slices.SortStableFunc(byDest, func(a, b mover) int { return cmp.Compare(a.dest, b.dest) })
+	var qs []int32
+	for i, mv := range byDest {
+		if i == 0 || mv.dest != byDest[i-1].dest {
+			qs = append(qs, mv.dest)
 		}
 	}
+	group := func(q int32) int {
+		g, _ := slices.BinarySearch(qs, q)
+		return g
+	}
+	// Closure slots bucketed per destination (CSR).
+	off := make([]int, len(qs)+1)
+	for _, s := range tb.closure {
+		for cur := tb.dests[s]; cur >= 0; cur = tb.next[cur] {
+			off[group(tb.part[cur])+1]++
+		}
+	}
+	for g := range qs {
+		off[g+1] += off[g]
+	}
+	cl := make([]int32, off[len(qs)])
+	fill := slices.Clone(off[:len(qs)])
+	for _, s := range tb.closure {
+		for cur := tb.dests[s]; cur >= 0; cur = tb.next[cur] {
+			g := group(tb.part[cur])
+			cl[fill[g]] = s
+			fill[g]++
+		}
+	}
+	lo := 0
+	for g, q := range qs {
+		hi := lo
+		for hi < len(byDest) && byDest[hi].dest == q {
+			hi++
+		}
+		packElements(ph.to(part.M.Part(), q), part, tb, d, q, byDest[lo:hi], cl[off[g]:off[g+1]])
+		lo = hi
+	}
+}
+
+// packElements encodes the closure of the given moves plus their
+// elements into b, dimension by dimension. closure holds the closure's
+// slots in entity order.
+func packElements(b *pcu.Buffer, part *Part, tb *migTable, d int, dest int32, moves []mover, closure []int32) {
+	m := part.M
+	movable := writeTagTable(b, m)
+	var res []int32  // residence scratch
 	var gids []int64 // down-adjacency gid scratch, bulk-packed per entity
-	for dd := 0; dd <= d; dd++ {
-		var level []mesh.Ent
-		if dd == d {
-			level = els
+	var down [8]mesh.Ent
+	pack := func(e mesh.Ent, res []int32) {
+		b.Byte(byte(e.T))
+		b.Int64(part.Gid(e))
+		c := m.Classification(e)
+		b.Byte(byte(int8(c.Dim) + 1)) // -1..3 -> 0..4
+		b.Int32(c.Tag)
+		b.Int32s(res)
+		if e.T == mesh.Vertex {
+			p := m.Coord(e)
+			b.Float64(p.X)
+			b.Float64(p.Y)
+			b.Float64(p.Z)
 		} else {
-			for e := range closure {
-				if e.Dim() == dd {
-					level = append(level, e)
-				}
+			gids = gids[:0]
+			for _, de := range m.DownTo(e, down[:0]) {
+				gids = append(gids, part.Gid(de))
 			}
-			sort.Slice(level, func(a, b int) bool { return level[a].Less(level[b]) })
+			b.Int64s(gids)
 		}
+		writeEntityTags(b, m, movable, e)
+	}
+	lv := tb.levels(closure)
+	for dd := 0; dd < d; dd++ {
+		level := closure[lv[dd]:lv[dd+1]]
 		b.Int32(int32(len(level)))
-		for _, e := range level {
-			b.Byte(byte(e.T))
-			b.Int64(part.Gid(e))
-			c := m.Classification(e)
-			b.Byte(byte(int8(c.Dim) + 1)) // -1..3 -> 0..4
-			b.Int32(c.Tag)
-			if dd == d {
-				b.Int32(1) // residence set {dest}, same wire as Int32s
-				b.Int32(dest)
-			} else {
-				b.Int32s(res[e].Values())
-			}
-			if dd == 0 {
-				p := m.Coord(e)
-				b.Float64(p.X)
-				b.Float64(p.Y)
-				b.Float64(p.Z)
-			} else {
-				down := m.Down(e)
-				gids = gids[:0]
-				for _, de := range down {
-					gids = append(gids, part.Gid(de))
-				}
-				b.Int64s(gids)
-			}
-			writeEntityTags(b, m, movable, e)
+		for _, s := range level {
+			res = tb.appendRes(s, res[:0])
+			pack(tb.ents[s], res)
 		}
+	}
+	b.Int32(int32(len(moves)))
+	only := []int32{dest} // an element's new residence is its destination
+	for _, mv := range moves {
+		pack(mv.el, only)
 	}
 }
 
 // unpackElements decodes one element-transfer message into the
-// destination part, creating missing entities and recording the new
-// residence of every transferred entity. Tag data accompanies every
-// entity; it is applied to newly created copies (existing copies keep
-// their own values). Every created entity is appended to createdLog in
-// creation order so an aborted migration can roll the staging back.
-func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, createdLog *[]mesh.Ent) {
+// destination part, creating missing entities and merging the shipped
+// residence of every transferred entity into the part's table. Tag
+// data accompanies every entity; it is applied to newly created copies
+// (existing copies keep their own values). Every created entity is
+// appended to createdLog in creation order so an aborted migration can
+// roll the staging back.
+func unpackElements(dm *DMesh, msg partMsg, tb *migTable, createdLog *[]mesh.Ent) {
 	part := dm.LocalPart(msg.To)
 	m := part.M
 	d := dm.Dim
 	r := msg.Data
 	table := readTagTable(r, m)
-	var resScratch []int32 // residence-set decode scratch, consumed by mergeRes
+	var resScratch []int32 // residence-set decode scratch
 	var gidScratch []int64 // down-adjacency gid decode scratch
+	var downScratch []mesh.Ent
+	merge := func(e mesh.Ent, vals []int32) {
+		s, _ := tb.slot(e)
+		for _, v := range vals {
+			tb.addRes(s, v)
+		}
+	}
 	for dd := 0; dd <= d; dd++ {
 		n := int(r.Int32())
 		for k := 0; k < n; k++ {
@@ -569,19 +577,20 @@ func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, crea
 					*createdLog = append(*createdLog, e)
 				}
 				applyEntityTags(r, m, table, e, !ok)
-				mergeRes(recvRes, e, resVals)
+				merge(e, resVals)
 				continue
 			}
 			gidScratch = r.AppendInt64s(gidScratch[:0])
-			down := make([]mesh.Ent, len(gidScratch))
+			down := downScratch[:0]
 			missing := false
-			for j, dg := range gidScratch {
+			for _, dg := range gidScratch {
 				de, ok := part.FindGid(dd-1, dg)
 				if !ok {
 					missing = true
 				}
-				down[j] = de
+				down = append(down, de)
 			}
+			downScratch = down
 			if missing {
 				// Recoverable: the abort vote rolls the staging back.
 				panic(migrateLocalError{fmt.Errorf(
@@ -594,16 +603,8 @@ func unpackElements(dm *DMesh, msg partMsg, recvRes map[mesh.Ent]ds.IntSet, crea
 				*createdLog = append(*createdLog, e)
 			}
 			applyEntityTags(r, m, table, e, !ok)
-			mergeRes(recvRes, e, resVals)
+			merge(e, resVals)
 		}
 	}
 	r.Done()
-}
-
-func mergeRes(recvRes map[mesh.Ent]ds.IntSet, e mesh.Ent, vals []int32) {
-	s := recvRes[e]
-	for _, v := range vals {
-		s.Add(v)
-	}
-	recvRes[e] = s
 }

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/fastmath/pumi-go/internal/mesh"
 	"github.com/fastmath/pumi-go/internal/pcu"
@@ -94,11 +95,12 @@ func CheckDistributed(dm *DMesh) error {
 	}
 
 	// Owner must be a residence part.
+	var res []int32
 	for _, part := range dm.Parts {
 		m := part.M
 		for d := 0; d < dm.Dim; d++ {
 			for e := range m.PartBoundary(d) {
-				if !m.Residence(e).Has(m.Owner(e)) {
+				if res = m.AppendResidence(e, res[:0]); !slices.Contains(res, m.Owner(e)) {
 					record(fmt.Errorf("partition: owner %d of %v on part %d outside residence",
 						m.Owner(e), e, m.Part()))
 				}
